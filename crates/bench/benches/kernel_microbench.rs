@@ -1,6 +1,8 @@
 //! Microbenchmarks of the integer kernels (the substrate behind Figure 2's
 //! latency axis): convolution at 8/4/2-bit operands, depthwise vs
-//! pointwise, and ICN vs thresholds requantization — plus the `QGraph`
+//! pointwise, ICN vs thresholds requantization, the direct loop vs the
+//! blocked GEMM (run through `QOp::execute_kernel`, the executor's one
+//! dispatch point) and its per-phase breakdown — plus the `QGraph`
 //! executor against a hand-rolled layer loop.
 //!
 //! These measure *host* throughput with a simple median-of-samples timer
@@ -17,8 +19,8 @@ use std::time::Instant;
 
 use mixq_bench::harness::{backend_arg, batch_arg};
 use mixq_kernels::{
-    Backend, OpCounts, QActivation, QAvgPool, QConv2d, QConvWeights, QGraph, Requantizer,
-    ThresholdChannel, WeightOffset,
+    ActivationArena, Backend, KernelChoice, OpCounts, OpOutput, QActivation, QAvgPool, QConv2d,
+    QConvWeights, QGraph, QOp, Requantizer, ThresholdChannel, WeightOffset,
 };
 use mixq_quant::{BitWidth, FixedPointMultiplier};
 use mixq_tensor::{ConvGeometry, Padding, Shape};
@@ -38,6 +40,19 @@ fn time_us<T>(samples: usize, mut f: impl FnMut() -> T) -> f64 {
         .collect();
     runs.sort_by(|a, b| a.total_cmp(b));
     runs[runs.len() / 2]
+}
+
+/// One blocked-GEMM execution of `conv` through the executor's dispatch
+/// point, with per-call panel packing and a fresh arena.
+fn blocked(conv: &QConv2d, x: &QActivation) -> OpOutput {
+    let mut ops = OpCounts::default();
+    conv.execute_kernel(
+        KernelChoice::BlockedGemm,
+        None,
+        &[x],
+        &mut ActivationArena::new(),
+        &mut ops,
+    )
 }
 
 fn report(group: &str, name: &str, us: f64) {
@@ -181,9 +196,8 @@ fn bench_depthwise_vs_pointwise() {
     report("dw_vs_pw", "avgpool", us);
 }
 
-/// The three dense-convolution dataflows head to head: the direct
-/// output-stationary loop, the naive im2col + GEMM, and the
-/// register-blocked GEMM.
+/// The two dense-convolution dataflows head to head: the direct
+/// output-stationary loop and the im2col + register-blocked GEMM.
 fn bench_conv_dataflows() {
     let co = 32;
     let pw = pointwise(co);
@@ -195,15 +209,7 @@ fn bench_conv_dataflows() {
         pw.execute(black_box(&x), &mut ops)
     });
     report("conv_dataflow", "direct", us);
-    let us = time_us(SAMPLES, || {
-        let mut ops = OpCounts::default();
-        pw.execute_gemm(black_box(&x), &mut ops)
-    });
-    report("conv_dataflow", "im2col_gemm", us);
-    let us = time_us(SAMPLES, || {
-        let mut ops = OpCounts::default();
-        pw.execute_blocked(black_box(&x), &mut ops)
-    });
+    let us = time_us(SAMPLES, || blocked(&pw, black_box(&x)));
     report("conv_dataflow", "blocked_gemm", us);
 }
 
@@ -239,10 +245,7 @@ fn bench_phase_breakdown() {
     }
 
     // Phase 2: the full blocked GEMM (dot-product core + fused epilogue).
-    let us = time_us(SAMPLES, || {
-        let mut ops = OpCounts::default();
-        conv.execute_blocked(black_box(&x8), &mut ops)
-    });
+    let us = time_us(SAMPLES, || blocked(&conv, black_box(&x8)));
     report("phase_breakdown", "gemm_blocked", us);
 
     // Phase 3: the requantization epilogue alone, over exactly the

@@ -198,7 +198,9 @@ fn main() {
     let flagged_threads = threads_arg();
     let mut flagged = tiled.clone();
     flagged.set_threads(flagged_threads);
-    let (flagged_logits, _) = flagged.infer_batch(ds.images());
+    let (flagged_logits, _) = flagged
+        .try_infer_batch(ds.images())
+        .expect("dataset images match the network input");
     let (base_logits, _) = baseline.expect("sweep measured");
     assert_eq!(
         flagged_logits.concat(),

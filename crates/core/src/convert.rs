@@ -147,10 +147,10 @@ impl IntNetwork {
     /// im2col row blocks (GEMM paths) and output-channel blocks (direct /
     /// depthwise paths) across. `1` (the default) keeps every walk serial.
     ///
-    /// This is intra-walk parallelism — orthogonal to
-    /// [`IntNetwork::evaluate_parallel_batch`], which shards *batches*
-    /// across threads with serial walks. Don't multiply the two: the
-    /// product is the total thread count.
+    /// This is intra-walk parallelism — orthogonal to the `workers` of
+    /// [`IntNetwork::evaluate_with`], which shard *batches* across threads
+    /// with serial walks. Don't multiply the two: the product is the total
+    /// thread count.
     ///
     /// Logits, `OpCounts` and modeled MCU cycles are bit-identical at
     /// every setting (asserted by the threading proptests); only host
@@ -228,29 +228,15 @@ impl IntNetwork {
         self.graph.run(self.quantize_input(image))
     }
 
-    /// [`IntNetwork::infer`] behind the request validation of
-    /// [`IntNetwork::validate_request`]: a wrong-shape, wrong-length or
-    /// batched tensor comes back as a typed [`MixQError`] instead of a
-    /// panic.
-    ///
-    /// # Errors
-    ///
-    /// See [`IntNetwork::validate_request`]; a multi-item batch is an
-    /// [`MixQError::InputShapeMismatch`] here (use
-    /// [`IntNetwork::try_infer_batch`]).
-    pub fn try_infer(&self, image: &Tensor<f32>) -> Result<(Vec<i32>, OpCounts), MixQError> {
-        let batch = self.validate_request(image)?;
-        if batch != 1 {
-            return Err(MixQError::InputShapeMismatch {
-                expected: self.input_shape,
-                got: image.shape(),
-            });
-        }
-        Ok(self.infer(image))
-    }
-
-    /// [`IntNetwork::infer_batch`] behind the request validation of
-    /// [`IntNetwork::validate_request`] — the serving layer's workhorse.
+    /// Runs integer-only inference on a stacked `(N, h, w, c)` image
+    /// tensor in **one graph walk**, behind the request validation of
+    /// [`IntNetwork::validate_request`] — the serving layer's workhorse: a
+    /// wrong-shape, wrong-length or empty tensor comes back as a typed
+    /// [`MixQError`] instead of a panic. Returns the per-sample logits
+    /// (one `Vec` per item, in order) and the total op counts,
+    /// bit-identical to N [`IntNetwork::infer`] calls; the batch amortizes
+    /// per-layer dispatch and streams each node's prepacked weights across
+    /// all samples.
     ///
     /// # Errors
     ///
@@ -259,55 +245,25 @@ impl IntNetwork {
         &self,
         images: &Tensor<f32>,
     ) -> Result<(Vec<Vec<i32>>, OpCounts), MixQError> {
-        self.validate_request(images)?;
-        Ok(self.infer_batch(images))
-    }
-
-    /// Predicted class of one image.
-    pub fn predict(&self, image: &Tensor<f32>) -> usize {
-        let (logits, _) = self.infer(image);
-        argmax(&logits)
-    }
-
-    /// Quantizes a float image drawing code scratch and packed storage
-    /// from `arena` — together with
-    /// [`QGraph::infer_pooled`](mixq_kernels::QGraph::infer_pooled), the
-    /// allocation-free steady-state inference path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the image is not a single item of the expected shape.
-    pub fn quantize_input_pooled(
-        &self,
-        image: &Tensor<f32>,
-        arena: &mut ActivationArena,
-    ) -> QActivation {
-        assert_eq!(image.shape(), self.input_shape, "input shape");
-        let mut codes = arena.take_scratch();
-        codes.clear();
-        codes.extend(
-            image
-                .data()
-                .iter()
-                .map(|&v| self.input_quant.quantize(v) as u8),
-        );
-        let act = QActivation::from_codes_in(
-            self.input_shape,
-            &codes,
-            BitWidth::W8,
-            self.input_quant.zero_point() as u8,
-            arena.take_packed(),
-        );
-        arena.put_scratch(codes);
-        act
+        let batch = self.validate_request(images)?;
+        let mut arena = ActivationArena::new();
+        self.attach_pool(&mut arena);
+        let mut logits = Vec::new();
+        let mut ops = OpCounts::default();
+        let x = self.quantize_input_items_pooled(images, 0, batch, &mut arena);
+        self.graph.infer_batch(x, &mut arena, &mut logits, &mut ops);
+        let per_sample = logits
+            .chunks(self.num_classes())
+            .map(<[i32]>::to_vec)
+            .collect();
+        Ok((per_sample, ops))
     }
 
     /// Quantizes `count` consecutive items of a stacked `(N, h, w, c)`
     /// image tensor, starting at `start`, into **one** batched activation
-    /// `(count, h, w, c)`, drawing all buffers from `arena` — the batch
-    /// twin of [`IntNetwork::quantize_input_pooled`], feeding
-    /// [`QGraph::infer_batch`](mixq_kernels::QGraph::infer_batch) without
-    /// heap allocation in steady state.
+    /// `(count, h, w, c)`, drawing all buffers from `arena` — together
+    /// with [`QGraph::infer_batch`](mixq_kernels::QGraph::infer_batch), the
+    /// allocation-free steady-state inference path.
     ///
     /// # Panics
     ///
@@ -346,151 +302,103 @@ impl IntNetwork {
         act
     }
 
-    /// Runs integer-only inference on a stacked `(N, h, w, c)` image
-    /// tensor in **one graph walk**, returning the per-sample logits (one
-    /// `Vec` per item, in order) and the total op counts. Bit-identical to
-    /// N [`IntNetwork::infer`] calls; the batch amortizes per-layer
-    /// dispatch and streams each node's prepacked weights across all
-    /// samples.
-    pub fn infer_batch(&self, images: &Tensor<f32>) -> (Vec<Vec<i32>>, OpCounts) {
-        let batch = images.shape().n;
-        let mut arena = ActivationArena::new();
-        self.attach_pool(&mut arena);
-        let mut logits = Vec::new();
-        let mut ops = OpCounts::default();
-        let x = self.quantize_input_items_pooled(images, 0, batch, &mut arena);
-        self.graph.infer_batch(x, &mut arena, &mut logits, &mut ops);
-        let classes = self.linear().out_features();
-        let per_sample = logits.chunks(classes).map(<[i32]>::to_vec).collect();
-        (per_sample, ops)
-    }
-
     /// Classification accuracy over a dataset plus total op counts —
-    /// [`IntNetwork::evaluate_batch`] one sample at a time.
-    ///
-    /// The whole evaluation shares one activation arena: code scratch and
-    /// packed activation storage are recycled across samples, so the loop
-    /// allocates nothing after its first iteration (asserted by the
-    /// `allocation_free` integration test).
+    /// [`IntNetwork::evaluate_with`] one sample at a time on the caller
+    /// thread.
     pub fn evaluate(&self, dataset: &Dataset) -> (f32, OpCounts) {
-        self.evaluate_batch(dataset, 1)
+        self.evaluate_with(dataset, 1, 1)
     }
 
-    /// Classification accuracy over a dataset, walking the graph once per
-    /// `batch` samples: each walk quantizes the next `batch` images into
-    /// one stacked activation and sweeps every layer across all of them,
-    /// so per-layer dispatch and prepacked-weight streaming are amortized.
-    /// Accuracy and `OpCounts` are bit-identical to the sample-at-a-time
-    /// path (asserted by the batch proptests); only wall-clock changes.
+    /// Classification accuracy over a dataset plus total op counts,
+    /// walking the graph once per `batch` samples: each walk quantizes the
+    /// next `batch` images into one stacked activation and sweeps every
+    /// layer across all of them, so per-layer dispatch and
+    /// prepacked-weight streaming are amortized.
+    ///
+    /// With `workers == 1` the walks run on the caller thread, split
+    /// across [`IntNetwork::set_threads`] intra-walk workers. Otherwise
+    /// the dataset's `⌈n / batch⌉` batches are sharded into contiguous
+    /// runs over `workers` scoped threads, one arena each, and every walk
+    /// stays serial — combining batch-level sharding with intra-walk
+    /// splitting would oversubscribe the host. Every graph walk keeps its
+    /// full batch width (only the final batch may be partial).
+    ///
+    /// Accuracy and `OpCounts` are bit-identical for every `batch` and
+    /// `workers` (batches are disjoint and ledger sums order-independent;
+    /// asserted by the batch proptests). Each shard recycles one arena
+    /// across its walks — the pooled path `tests/alloc_free.rs` holds
+    /// allocation-free in steady state.
     ///
     /// # Panics
     ///
-    /// Panics if `batch` is zero.
-    pub fn evaluate_batch(&self, dataset: &Dataset, batch: usize) -> (f32, OpCounts) {
+    /// Panics if `batch` or `workers` is zero.
+    pub fn evaluate_with(
+        &self,
+        dataset: &Dataset,
+        batch: usize,
+        workers: usize,
+    ) -> (f32, OpCounts) {
         assert!(batch > 0, "batch size must be positive");
-        let mut ops = OpCounts::default();
-        if dataset.is_empty() {
-            return (0.0, ops);
-        }
-        let mut arena = ActivationArena::new();
-        self.attach_pool(&mut arena);
-        let mut logits = Vec::new();
-        let mut correct = 0usize;
+        assert!(workers > 0, "need at least one worker");
         let n = dataset.len();
-        let classes = self.linear().out_features();
-        let mut start = 0usize;
-        while start < n {
+        if n == 0 {
+            return (0.0, OpCounts::default());
+        }
+        let num_batches = n.div_ceil(batch);
+        let (correct, ops) = if workers == 1 {
+            let mut arena = ActivationArena::new();
+            self.attach_pool(&mut arena);
+            self.evaluate_shard(dataset, batch, 0..num_batches, arena)
+        } else {
+            let workers = workers.min(num_batches);
+            let chunk = num_batches.div_ceil(workers);
+            let mut results = vec![(0usize, OpCounts::default()); workers];
+            std::thread::scope(|s| {
+                for (w, slot) in results.iter_mut().enumerate() {
+                    let batches = w * chunk..((w + 1) * chunk).min(num_batches);
+                    s.spawn(move || {
+                        *slot =
+                            self.evaluate_shard(dataset, batch, batches, ActivationArena::new());
+                    });
+                }
+            });
+            results
+                .into_iter()
+                .fold((0, OpCounts::default()), |(c, o), (c2, o2)| {
+                    (c + c2, o + o2)
+                })
+        };
+        (correct as f32 / n as f32, ops)
+    }
+
+    /// The per-shard loop of [`IntNetwork::evaluate_with`]: walks the
+    /// dataset's `batches` (indices of `batch`-sized runs) through `arena`,
+    /// returning the number of correct predictions and the op ledger.
+    fn evaluate_shard(
+        &self,
+        dataset: &Dataset,
+        batch: usize,
+        batches: std::ops::Range<usize>,
+        mut arena: ActivationArena,
+    ) -> (usize, OpCounts) {
+        let n = dataset.len();
+        let classes = self.num_classes();
+        let mut logits = Vec::new();
+        let mut ops = OpCounts::default();
+        let mut correct = 0usize;
+        for b in batches {
+            let start = b * batch;
             let count = batch.min(n - start);
             let x = self.quantize_input_items_pooled(dataset.images(), start, count, &mut arena);
             self.graph.infer_batch(x, &mut arena, &mut logits, &mut ops);
-            for (j, row) in logits.chunks(classes).enumerate() {
-                if argmax(row) == dataset.labels()[start + j] {
-                    correct += 1;
-                }
-            }
-            start += count;
+            let labels = &dataset.labels()[start..start + count];
+            correct += logits
+                .chunks(classes)
+                .zip(labels)
+                .filter(|&(row, &label)| argmax(row) == label)
+                .count();
         }
-        (correct as f32 / n as f32, ops)
-    }
-
-    /// [`IntNetwork::evaluate`] sharded across `workers` threads —
-    /// [`IntNetwork::evaluate_parallel_batch`] with single-sample batches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn evaluate_parallel(&self, dataset: &Dataset, workers: usize) -> (f32, OpCounts) {
-        self.evaluate_parallel_batch(dataset, workers, 1)
-    }
-
-    /// [`IntNetwork::evaluate_batch`] sharded across `workers` threads
-    /// (`std::thread::scope`), one arena per worker. The shards are
-    /// **whole batches**, not samples: the dataset is split into
-    /// `⌈n / batch⌉` batches first and each worker walks a contiguous run
-    /// of them, so every graph walk keeps its full batch width (only the
-    /// final batch of the dataset may be partial). Accuracy and `OpCounts`
-    /// are identical to the sequential path — batches are disjoint and the
-    /// ledger sums are order-independent.
-    ///
-    /// Each worker's walks stay **serial** regardless of
-    /// [`IntNetwork::set_threads`]: combining batch-level sharding with
-    /// intra-walk splitting would oversubscribe the host.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` or `batch` is zero.
-    pub fn evaluate_parallel_batch(
-        &self,
-        dataset: &Dataset,
-        workers: usize,
-        batch: usize,
-    ) -> (f32, OpCounts) {
-        assert!(workers > 0, "need at least one worker");
-        assert!(batch > 0, "batch size must be positive");
-        if dataset.is_empty() {
-            return (0.0, OpCounts::default());
-        }
-        let n = dataset.len();
-        let num_batches = n.div_ceil(batch);
-        let workers = workers.min(num_batches);
-        let chunk = num_batches.div_ceil(workers);
-        let classes = self.linear().out_features();
-        let mut results = vec![(0usize, OpCounts::default()); workers];
-        std::thread::scope(|s| {
-            for (w, slot) in results.iter_mut().enumerate() {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(num_batches);
-                s.spawn(move || {
-                    let mut arena = ActivationArena::new();
-                    let mut logits = Vec::new();
-                    let mut ops = OpCounts::default();
-                    let mut correct = 0usize;
-                    for b in lo..hi {
-                        let start = b * batch;
-                        let count = batch.min(n - start);
-                        let x = self.quantize_input_items_pooled(
-                            dataset.images(),
-                            start,
-                            count,
-                            &mut arena,
-                        );
-                        self.graph.infer_batch(x, &mut arena, &mut logits, &mut ops);
-                        for (j, row) in logits.chunks(classes).enumerate() {
-                            if argmax(row) == dataset.labels()[start + j] {
-                                correct += 1;
-                            }
-                        }
-                    }
-                    *slot = (correct, ops);
-                });
-            }
-        });
-        let (correct, ops) = results
-            .into_iter()
-            .fold((0usize, OpCounts::default()), |(c, o), (c2, o2)| {
-                (c + c2, o + o2)
-            });
-        (correct as f32 / n as f32, ops)
+        (correct, ops)
     }
 
     /// A copy of the network whose threshold tables are saturated to the
@@ -574,7 +482,8 @@ impl IntNetwork {
     }
 }
 
-fn argmax(logits: &[i32]) -> usize {
+/// Index of the largest logit (the predicted class; 0 for empty input).
+pub(crate) fn argmax(logits: &[i32]) -> usize {
     logits
         .iter()
         .enumerate()
@@ -943,7 +852,7 @@ mod tests {
         let mut agree = 0usize;
         for i in 0..ds.len() {
             let s = ds.sample(i);
-            if icn.predict(&s.images) == thr.predict(&s.images) {
+            if argmax(&icn.infer(&s.images).0) == argmax(&thr.infer(&s.images).0) {
                 agree += 1;
             }
         }
@@ -1009,7 +918,7 @@ mod tests {
         // Wrong per-item shape.
         let bad = Tensor::full(Shape::feature_map(4, 4, 2), 0.5);
         assert!(matches!(
-            int_net.try_infer(&bad),
+            int_net.try_infer_batch(&bad),
             Err(MixQError::InputShapeMismatch { .. })
         ));
         // Oversized request: right item volume, absurd spatial dims.
@@ -1024,17 +933,11 @@ mod tests {
             int_net.try_infer_batch(&empty),
             Err(MixQError::EmptyBatch)
         ));
-        // A batch through try_infer (single-sample API) is typed too.
-        let two = Tensor::full(Shape::new(2, 8, 8, 2), 0.5);
-        assert!(matches!(
-            int_net.try_infer(&two),
-            Err(MixQError::InputShapeMismatch { .. })
-        ));
         // Well-formed requests pass through bit-identically.
         let img = &ds.sample(0).images;
         assert_eq!(
-            int_net.try_infer(img).expect("valid").0,
-            int_net.infer(img).0
+            int_net.try_infer_batch(img).expect("valid").0,
+            vec![int_net.infer(img).0]
         );
         let (rows, _) = int_net
             .try_infer_batch(&two_stack(&ds))

@@ -12,7 +12,7 @@ use mixq_models::micro::network_spec_of;
 use mixq_nn::qat::{MicroCnnSpec, QatNetwork};
 use mixq_nn::train::{evaluate, train, TrainConfig};
 
-use crate::convert::{convert_with_backend, scheme_granularity, IntNetwork};
+use crate::convert::{argmax, convert_with_backend, scheme_granularity, IntNetwork};
 use crate::memory::{mib, MemoryBudget, QuantScheme};
 use crate::mixed::{assign_bits, BitAssignment, MixedPrecisionConfig};
 use crate::MixQError;
@@ -267,7 +267,7 @@ pub fn deploy(
         }
     }
     int_net.set_threads(cfg.threads);
-    let (int_accuracy, _) = int_net.evaluate_batch(dataset, cfg.batch);
+    let (int_accuracy, _) = int_net.evaluate_with(dataset, cfg.batch, 1);
     // Phase 4: verification — loss(g'(x)) ≈ loss(g(x)) at prediction level.
     let prediction_agreement = prediction_agreement(&net, &int_net, dataset);
     let (_, ops) = int_net.infer(&dataset.sample(0).images);
@@ -290,7 +290,7 @@ pub fn deploy(
 /// integer-only deployment graph `g'(x)` predict the same class — the
 /// paper's Figure-1 verification step, with the integer side running
 /// through the [`QGraph`](mixq_kernels::QGraph) executor behind
-/// [`IntNetwork::predict`]. An empty dataset counts as full agreement.
+/// [`IntNetwork::infer`]. An empty dataset counts as full agreement.
 pub fn prediction_agreement(net: &QatNetwork, int_net: &IntNetwork, dataset: &Dataset) -> f32 {
     if dataset.is_empty() {
         return 1.0;
@@ -299,7 +299,7 @@ pub fn prediction_agreement(net: &QatNetwork, int_net: &IntNetwork, dataset: &Da
     for i in 0..dataset.len() {
         let s = dataset.sample(i);
         let fq_class = argmax_f32(net.forward(&s.images).data());
-        if fq_class == int_net.predict(&s.images) {
+        if fq_class == argmax(&int_net.infer(&s.images).0) {
             agree += 1;
         }
     }

@@ -7,7 +7,8 @@
 //! that binding an explicit, pluggable API:
 //!
 //! * [`KernelChoice`] — the closed set of kernel implementations a node can
-//!   resolve to (direct convolution, im2col + GEMM, register-blocked GEMM);
+//!   resolve to: the direct loop (the reference, and the paper's cycle
+//!   anchor) and the im2col + register-blocked GEMM — one kernel per role;
 //! * [`Backend`] — the selection policy: given a node's op, input shapes
 //!   and bit-widths, pick a choice at **graph build time**;
 //! * [`ReferenceBackend`] — direct kernels everywhere (bit-identical to the
@@ -36,16 +37,17 @@
 //! use mixq_quant::BitWidth;
 //! use mixq_tensor::Shape;
 //!
-//! /// Forces the plain im2col + GEMM path on every standard convolution.
-//! struct NaiveGemmEverywhere;
+//! /// Forces the blocked GEMM on every dense convolution, including the
+//! /// shapes the tiled backend's cost model leaves direct.
+//! struct BlockedEverywhere;
 //!
-//! impl Backend for NaiveGemmEverywhere {
+//! impl Backend for BlockedEverywhere {
 //!     fn name(&self) -> &'static str {
-//!         "naive-gemm"
+//!         "blocked-everywhere"
 //!     }
 //!     fn select(&self, op: &AnyOp, _inputs: &[Shape], _in_bits: &[BitWidth]) -> KernelChoice {
 //!         match op {
-//!             AnyOp::Conv(c) if !c.weights().is_depthwise() => KernelChoice::Im2colGemm,
+//!             AnyOp::Conv(c) if !c.weights().is_depthwise() => KernelChoice::BlockedGemm,
 //!             _ => KernelChoice::DirectConv,
 //!         }
 //!     }
@@ -57,27 +59,37 @@ use std::fmt;
 use mixq_quant::BitWidth;
 use mixq_tensor::Shape;
 
-use crate::gemm::im2col_scratch_bytes;
+use crate::blocked::im2col_scratch_bytes;
 use crate::graph::AnyOp;
 
+/// Modeled Cortex-M7 cycles per MAC of the direct dense loop — the one
+/// owner of this rate: [`TiledBackend`] selection and `mixq-mcu`'s
+/// `CortexM7CycleModel::default()` both read it.
+pub const DIRECT_MAC_CYCLES: f64 = 2.1;
+
+/// Modeled Cortex-M7 cycles per MAC of the blocked GEMM inner kernel
+/// (shared with `CortexM7CycleModel::default()` like
+/// [`DIRECT_MAC_CYCLES`]).
+pub const BLOCKED_MAC_CYCLES: f64 = 1.4;
+
+/// Modeled cycles per element copied into the im2col buffer — the
+/// expansion traffic [`TiledBackend`] selection prices on top of the
+/// per-MAC rates (the abstract op ledger does not).
+pub const IM2COL_CYCLES_PER_ELEM: f64 = 1.0;
+
 /// The concrete kernel implementation a graph node resolved to at build
-/// time. All choices produce bit-identical output codes; they differ in
+/// time. Both choices produce bit-identical output codes; they differ in
 /// dataflow — cycles and transient scratch RAM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelChoice {
-    /// The direct output-stationary loop ([`QConv2d::execute_codes`]); the
-    /// only implementation for depthwise convolutions, pooling, the
-    /// classifier head and residual adds.
-    ///
-    /// [`QConv2d::execute_codes`]: crate::QConv2d::execute_codes
+    /// The direct output-stationary loop (the reference
+    /// [`QConv2d::execute`](crate::QConv2d::execute)); the only
+    /// implementation for depthwise convolutions, pooling, the classifier
+    /// head and residual adds.
     DirectConv,
-    /// Image-to-column expansion followed by a row-major GEMM
-    /// ([`QConv2d::execute_gemm`](crate::QConv2d::execute_gemm)); needs an
-    /// im2col scratch buffer.
-    Im2colGemm,
-    /// im2col followed by the register-blocked, cache-tiled GEMM inner
-    /// kernel ([`QConv2d::execute_blocked`](crate::QConv2d::execute_blocked));
-    /// same scratch as [`KernelChoice::Im2colGemm`], fastest dense path.
+    /// im2col followed by the register-blocked GEMM inner kernel (see
+    /// [`crate::blocked`]); needs an im2col scratch buffer unless the
+    /// pointwise identity path borrows the input.
     BlockedGemm,
 }
 
@@ -87,7 +99,6 @@ impl KernelChoice {
     pub const fn label(self) -> &'static str {
         match self {
             KernelChoice::DirectConv => "direct",
-            KernelChoice::Im2colGemm => "im2col_gemm",
             KernelChoice::BlockedGemm => "blocked_gemm",
         }
     }
@@ -95,7 +106,7 @@ impl KernelChoice {
     /// Whether the choice lowers the convolution through an im2col + GEMM
     /// dataflow (and therefore needs the im2col scratch buffer).
     pub const fn is_gemm(self) -> bool {
-        matches!(self, KernelChoice::Im2colGemm | KernelChoice::BlockedGemm)
+        matches!(self, KernelChoice::BlockedGemm)
     }
 }
 
@@ -150,37 +161,20 @@ impl Backend for ReferenceBackend {
 /// [`TiledBackend::scratch_limit_bytes`]. Depthwise convolutions, pooling,
 /// the head and residual adds stay direct (their only implementation).
 ///
-/// The default per-MAC rates mirror `CortexM7CycleModel`'s per-choice
-/// pricing (asserted against the model's defaults in
-/// `tests/backend_kernels.rs`, so tuning one side fails loudly instead of
-/// silently diverging). On top of those rates, selection also prices the
-/// im2col expansion traffic — which the abstract op ledger does not — so
+/// The per-MAC rates are [`DIRECT_MAC_CYCLES`] and [`BLOCKED_MAC_CYCLES`],
+/// the same constants `CortexM7CycleModel`'s defaults price executed
+/// nodes with, so selection and the latency model cannot diverge. On top
+/// of those rates, selection also prices the im2col expansion traffic
+/// ([`IM2COL_CYCLES_PER_ELEM`]) — which the abstract op ledger does not — so
 /// very small output-channel counts stay direct; the pointwise identity
 /// fast path ([`QConv2d::blocked_borrows_input`](crate::QConv2d::blocked_borrows_input))
 /// skips the gather entirely and is priced (and scratch-checked) as free.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TiledBackend {
-    /// Modeled cycles per MAC of the direct dense loop.
-    pub direct_mac_cycles: f64,
-    /// Modeled cycles per MAC of the blocked GEMM inner kernel.
-    pub blocked_mac_cycles: f64,
-    /// Modeled cycles per element copied into the im2col buffer.
-    pub im2col_cycles_per_elem: f64,
     /// Optional ceiling on the im2col scratch buffer: a GEMM kernel is
     /// never selected for a node whose expansion would exceed it (deploying
     /// within a RAM budget must bound transient buffers too).
     pub scratch_limit_bytes: Option<usize>,
-}
-
-impl Default for TiledBackend {
-    fn default() -> Self {
-        TiledBackend {
-            direct_mac_cycles: 2.1,
-            blocked_mac_cycles: 1.4,
-            im2col_cycles_per_elem: 1.0,
-            scratch_limit_bytes: None,
-        }
-    }
 }
 
 impl TiledBackend {
@@ -223,13 +217,13 @@ impl Backend for TiledBackend {
         let k = conv.geometry().kernel_area() * input.c;
         let rows = out.pixels() * out.n;
         let macs = (rows * k * out.c) as f64;
-        let direct = macs * self.direct_mac_cycles;
+        let direct = macs * DIRECT_MAC_CYCLES;
         let expansion = if borrows {
             0.0
         } else {
-            (rows * k) as f64 * self.im2col_cycles_per_elem
+            (rows * k) as f64 * IM2COL_CYCLES_PER_ELEM
         };
-        let gemm = macs * self.blocked_mac_cycles + expansion;
+        let gemm = macs * BLOCKED_MAC_CYCLES + expansion;
         if gemm < direct {
             KernelChoice::BlockedGemm
         } else {
@@ -451,9 +445,7 @@ mod tests {
     #[test]
     fn choice_labels() {
         assert_eq!(KernelChoice::DirectConv.label(), "direct");
-        assert_eq!(KernelChoice::Im2colGemm.to_string(), "im2col_gemm");
-        assert_eq!(KernelChoice::BlockedGemm.label(), "blocked_gemm");
-        assert!(KernelChoice::Im2colGemm.is_gemm());
+        assert_eq!(KernelChoice::BlockedGemm.to_string(), "blocked_gemm");
         assert!(KernelChoice::BlockedGemm.is_gemm());
         assert!(!KernelChoice::DirectConv.is_gemm());
     }

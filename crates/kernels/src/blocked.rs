@@ -1,9 +1,12 @@
-//! The register-blocked, cache-tiled GEMM convolution path — the fast
-//! dense kernel behind
-//! [`KernelChoice::BlockedGemm`](crate::KernelChoice::BlockedGemm).
+//! The im2col + GEMM convolution path — the dense kernel behind
+//! [`KernelChoice::BlockedGemm`](crate::KernelChoice::BlockedGemm), and
+//! the dataflow CMSIS-NN's `conv` kernels use on the Cortex-M (§6's
+//! library lowers convolutions to an image-to-column expansion followed by
+//! a matrix product so the dual-MAC `SMLAD` streams contiguous operands).
 //!
-//! Same im2col dataflow as [`QConv2d::execute_gemm`], restructured the way
-//! a production GEMM inner kernel is:
+//! [`QConv2d::im2col_into`] gathers the expansion, with padded taps
+//! materialized as the input zero-point so they contribute exactly zero.
+//! The GEMM over it is restructured the way a production inner kernel is:
 //!
 //! * **double zero-point hoisting** — `Σ (X − Zx)(W − Zw)` expands to
 //!   `Σ X·W − Zw·Σ X − Zx·Σ W + k·Zx·Zw`, with `Σ X` computed once per
@@ -34,11 +37,11 @@
 //!   per-row arithmetic → the merge is a concatenation and the result
 //!   byte-identical for any worker count).
 //!
-//! The abstract [`OpCounts`] ledger charged is identical to the
-//! [`QConv2d::execute_gemm`] path — the blocked kernel reorganizes the
-//! dataflow, not the mathematical work; the per-choice rates of the
-//! Cortex-M7 cycle model express the dataflow difference, and host SIMD
-//! or worker threads never change modeled cycles.
+//! The abstract [`OpCounts`] ledger charges the GEMM dataflow's
+//! mathematical work (every padded MAC, one load per gathered element);
+//! the per-choice rates of the Cortex-M7 cycle model express the dataflow
+//! difference from the direct loop, and host SIMD or worker threads never
+//! change modeled cycles.
 
 use std::sync::Mutex;
 
@@ -215,98 +218,184 @@ impl QConv2d {
             && in_bits == mixq_quant::BitWidth::W8
     }
 
-    /// Runs the layer through the register-blocked GEMM path.
-    /// Bit-identical to [`QConv2d::execute`] and [`QConv2d::execute_gemm`];
-    /// see the [module docs](self) for the dataflow.
+    /// Expands the input into its row-major `rows × k` im2col matrix
+    /// (`rows = n·out_h·out_w`, `k = k_h·k_w·c_i`), written into `data`
+    /// (cleared and resized in place), and returns `(rows, k)`. Padded
+    /// taps are materialized as the input zero-point `Zx`, which
+    /// contributes exactly zero to `Σ (X − Zx)(W − Zw)` — the trick
+    /// CMSIS-NN's im2col kernels use so the GEMM inner loop stays
+    /// branch-free.
     ///
     /// # Panics
     ///
-    /// Panics on depthwise layers.
-    pub fn execute_blocked(&self, x: &QActivation, ops: &mut OpCounts) -> QActivation {
-        let mut out_codes = Vec::new();
-        let out_shape = self.execute_blocked_codes(x, &mut out_codes, ops);
-        QActivation::from_codes(
-            out_shape,
-            &out_codes,
-            self.requant().out_bits(),
-            self.requant().zero_point().clamp(0, 255) as u8,
-        )
-    }
-
-    /// The codes-only core of [`QConv2d::execute_blocked`]: writes the
-    /// unpacked output codes into `out_codes` (cleared and resized in
-    /// place) and returns the output shape. The weight panel is built per
-    /// call — the one-shot fallback for callers without a prepack cache;
-    /// the graph executor dispatches
-    /// [`KernelChoice::BlockedGemm`](crate::KernelChoice::BlockedGemm)
-    /// nodes through [`QConv2d::execute_blocked_prepacked`] instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics on depthwise layers.
-    pub fn execute_blocked_codes(
+    /// Panics on depthwise layers (CMSIS-NN lowers those directly) or on a
+    /// channel mismatch.
+    pub fn im2col_into(
         &self,
         x: &QActivation,
-        out_codes: &mut Vec<u8>,
+        data: &mut Vec<u8>,
         ops: &mut OpCounts,
-    ) -> Shape {
-        let panels = self.prepack_panels();
-        self.execute_blocked_prepacked(&panels, x, &mut Vec::new(), out_codes, ops)
+    ) -> (usize, usize) {
+        self.im2col_into_pooled(x, data, None, ops)
+    }
+
+    /// [`QConv2d::im2col_into`] with an optional [`ThreadPool`]: the
+    /// expansion's rows are independent gathers into disjoint `k`-byte
+    /// stripes of the buffer, so they split into contiguous row blocks
+    /// across the workers. Bit-identical for any worker count (each row's
+    /// bytes, and the load tally summed over disjoint row ranges, don't
+    /// depend on the split).
+    pub(crate) fn im2col_into_pooled(
+        &self,
+        x: &QActivation,
+        data: &mut Vec<u8>,
+        pool: Option<&ThreadPool>,
+        ops: &mut OpCounts,
+    ) -> (usize, usize) {
+        assert!(
+            !self.weights().is_depthwise(),
+            "im2col path applies to standard convolutions"
+        );
+        let in_shape = x.shape();
+        assert_eq!(in_shape.c, self.weights().in_channels(), "input channels");
+        let out_shape = self.output_shape(in_shape);
+        let k = self.geometry().kernel_area() * in_shape.c;
+        let rows = out_shape.pixels() * out_shape.n;
+        data.clear();
+        data.resize(rows * k, 0);
+        let threads = pool.map_or(1, ThreadPool::threads);
+        // One code per byte already? Then every valid tap is a straight
+        // `memcpy` from the input bytes on every path.
+        let direct: Option<&[u8]> = (!x.needs_unpack()).then(|| x.as_bytes());
+        let mut loads = 0u64;
+        let mut split = false;
+        if threads > 1 && rows >= 2 {
+            let mut row_bounds = [0usize; MAX_POOL_THREADS + 1];
+            let parts = partition_bounds(rows, threads, &mut row_bounds);
+            if parts > 1 {
+                let mut byte_bounds = [0usize; MAX_POOL_THREADS + 1];
+                for (b, r) in byte_bounds.iter_mut().zip(&row_bounds).take(parts + 1) {
+                    *b = r * k;
+                }
+                let merged = Mutex::new(0u64);
+                pool.expect("threads > 1 implies a pool").broadcast_slices(
+                    data.as_mut_slice(),
+                    &byte_bounds[..=parts],
+                    |w, chunk| {
+                        let local = self.im2col_rows(x, out_shape, row_bounds[w], chunk, direct);
+                        *merged.lock().unwrap() += local;
+                    },
+                );
+                loads = merged.into_inner().unwrap();
+                split = true;
+            }
+        }
+        if !split {
+            if direct.is_none() {
+                // Serial sub-byte staging: decode the whole input once
+                // (SIMD unpack) into the slack of the scratch buffer, then
+                // gather rows from the flat decode instead of extracting
+                // bits per element. Same bytes and the same abstract
+                // ledger — `unpacks` still charges the per-element model
+                // the microcontroller would pay.
+                let vol = in_shape.volume();
+                data.resize(rows * k + vol, 0);
+                let (head, tail) = data.split_at_mut(rows * k);
+                x.unpack_into(&mut tail[..vol]);
+                loads = self.im2col_rows(x, out_shape, 0, head, Some(&tail[..vol]));
+                data.truncate(rows * k);
+            } else {
+                loads = self.im2col_rows(x, out_shape, 0, data.as_mut_slice(), direct);
+            }
+        }
+        ops.act_loads += loads;
+        if x.needs_unpack() {
+            ops.unpacks += loads;
+        }
+        (rows, k)
+    }
+
+    /// Gathers the im2col rows starting at `r_lo` into `out` (whose
+    /// length picks the row count) and returns the non-padded load tally
+    /// — the shared core of the serial and row-parallel expansions.
+    ///
+    /// `flat`, when given, holds the input codes decoded to one per byte
+    /// in NHWC order (either the 8-bit tensor's own bytes or a staged
+    /// sub-byte decode): each valid tap then copies one contiguous channel
+    /// span instead of extracting elements one by one. Padded taps fill
+    /// with `Zx`. Same bytes and load tally either way.
+    fn im2col_rows(
+        &self,
+        x: &QActivation,
+        out_shape: Shape,
+        r_lo: usize,
+        out: &mut [u8],
+        flat: Option<&[u8]>,
+    ) -> u64 {
+        let in_shape = x.shape();
+        let g = self.geometry();
+        let (pt, pl) = g.pad_top_left(in_shape.h, in_shape.w);
+        let k = g.kernel_area() * in_shape.c;
+        let c = in_shape.c;
+        let zx = x.zero_point();
+        let mut loads = 0u64;
+        for (rr, row_out) in out.chunks_exact_mut(k).enumerate() {
+            let row = r_lo + rr;
+            let ox = row % out_shape.w;
+            let oy = (row / out_shape.w) % out_shape.h;
+            let n = row / (out_shape.w * out_shape.h);
+            let mut col = 0usize;
+            for ky in 0..g.kh {
+                let iy = (oy * g.stride + ky) as isize - pt as isize;
+                let y_ok = iy >= 0 && iy < in_shape.h as isize;
+                for kx in 0..g.kw {
+                    let ix = (ox * g.stride + kx) as isize - pl as isize;
+                    let span = &mut row_out[col..col + c];
+                    if !y_ok || ix < 0 || ix >= in_shape.w as isize {
+                        span.fill(zx);
+                    } else {
+                        loads += c as u64;
+                        if let Some(xb) = flat {
+                            let base =
+                                ((n * in_shape.h + iy as usize) * in_shape.w + ix as usize) * c;
+                            span.copy_from_slice(&xb[base..base + c]);
+                        } else {
+                            for (ci, o) in span.iter_mut().enumerate() {
+                                *o = x.get(n, iy as usize, ix as usize, ci);
+                            }
+                        }
+                    }
+                    col += c;
+                }
+            }
+        }
+        loads
     }
 
     /// Runs the layer through the blocked GEMM against a prepacked weight
     /// panel built once by [`QConv2d::prepack_panels`], drawing the im2col
-    /// (or sub-byte linear-unpack) expansion from `data_scratch` (cleared
-    /// and resized in place). Bit-identical — output codes **and** abstract
-    /// [`OpCounts`] ledger — to the per-call-packing
-    /// [`QConv2d::execute_blocked_codes`]; the hot path just stops
-    /// rebuilding the panel, the `Σ W` sums and the hoisted zero-point
-    /// tables on every call. (This one-shot wrapper allocates its own
-    /// accumulator scratch; the graph executor's steady-state path is
-    /// [`QConv2d::execute_blocked_prepacked_pooled`] with arena-recycled
-    /// buffers.)
+    /// (or sub-byte linear-unpack) expansion from `data_scratch` and the
+    /// 32-bit accumulators from `acc_scratch` (both cleared and resized in
+    /// place). Output codes are bit-identical to the direct kernel's, and
+    /// steady-state calls allocate nothing once the three buffers reach
+    /// capacity. Callers go through
+    /// [`QOp::execute_kernel`](crate::QOp::execute_kernel) with
+    /// [`KernelChoice::BlockedGemm`](crate::KernelChoice::BlockedGemm).
+    ///
+    /// With a [`ThreadPool`], the im2col expansion and the `rows × c_o`
+    /// output split into contiguous row blocks, one per worker, inside
+    /// this single node execution. Worker counts (including none) are
+    /// bit-identical: every row's arithmetic is the serial GEMV's, rows are
+    /// disjoint, each worker owns a disjoint `2·c_o` slice of
+    /// `acc_scratch`, and the shared ledger is a sum of per-worker counts
+    /// over disjoint ranges.
     ///
     /// # Panics
     ///
     /// Panics on depthwise layers, on an input channel mismatch, or if the
     /// panels were built for a different patch length or channel count.
-    pub fn execute_blocked_prepacked(
-        &self,
-        panels: &PackedPanels,
-        x: &QActivation,
-        data_scratch: &mut Vec<u8>,
-        out_codes: &mut Vec<u8>,
-        ops: &mut OpCounts,
-    ) -> Shape {
-        self.execute_blocked_prepacked_pooled(
-            panels,
-            x,
-            data_scratch,
-            &mut Vec::new(),
-            out_codes,
-            None,
-            ops,
-        )
-    }
-
-    /// [`QConv2d::execute_blocked_prepacked`] with an optional
-    /// [`ThreadPool`] and caller-owned accumulator scratch: the im2col
-    /// expansion and the `rows × c_o` output split into contiguous row
-    /// blocks, one per worker, inside this single node execution — the
-    /// intra-walk parallelism of
-    /// [`QGraph::infer_batch`](crate::QGraph::infer_batch). Worker counts
-    /// (including none) are bit-identical: every row's arithmetic is the
-    /// serial GEMV's, rows are disjoint, each worker owns a disjoint
-    /// `2·c_o` slice of `acc_scratch`, and the shared ledger is a sum of
-    /// per-worker counts over disjoint ranges. Allocation-free once
-    /// `data_scratch`, `acc_scratch` and `out_codes` reach steady
-    /// capacity.
-    ///
-    /// # Panics
-    ///
-    /// See [`QConv2d::execute_blocked_prepacked`].
     #[allow(clippy::too_many_arguments)]
-    pub fn execute_blocked_prepacked_pooled(
+    pub(crate) fn execute_blocked_prepacked_pooled(
         &self,
         panels: &PackedPanels,
         x: &QActivation,
@@ -445,8 +534,8 @@ impl QConv2d {
             );
         }
 
-        // Same abstract ledger as the naive GEMM path (identical
-        // mathematical work; only the dataflow differs).
+        // The GEMM dataflow's abstract ledger: every padded MAC of the
+        // `rows × k × c_o` product (the im2col loads were charged above).
         let macs = (rows * k * co_n) as u64;
         ops.macs += macs;
         ops.unpacks += w_unpack * macs;
@@ -457,6 +546,15 @@ impl QConv2d {
         }
         out_shape
     }
+}
+
+/// Size in bytes of the im2col scratch buffer for a layer over an input
+/// shape: one code byte per element of the `rows × k` expansion.
+pub fn im2col_scratch_bytes(conv: &QConv2d, input: Shape) -> usize {
+    let g = conv.geometry();
+    let k = g.kernel_area() * input.c;
+    let out = conv.output_shape(input);
+    out.pixels() * out.n * k
 }
 
 /// The dual-row GEMV sweep over im2col rows `[r_lo, r_hi)`: the shared
@@ -710,8 +808,25 @@ mod tests {
         QActivation::from_codes(shape, &codes, bits, zx)
     }
 
+    /// One blocked-GEMM execution through the graph's dispatch point, with
+    /// no prepack cache (panels built per call).
+    fn blocked(conv: &QConv2d, x: &QActivation, ops: &mut OpCounts) -> QActivation {
+        let out = crate::QOp::execute_kernel(
+            conv,
+            crate::KernelChoice::BlockedGemm,
+            None,
+            &[x],
+            &mut crate::ActivationArena::new(),
+            ops,
+        );
+        match out {
+            crate::OpOutput::Act(a) => a,
+            crate::OpOutput::Logits(_) => unreachable!("convolutions produce activations"),
+        }
+    }
+
     #[test]
-    fn blocked_matches_naive_gemm_and_direct() {
+    fn blocked_matches_direct() {
         // Shapes chosen to exercise the GEMV's vector-tile remainders:
         // co ∈ {1..6} covers sub-tile channel counts and odd remainders;
         // k ∈ {1, 3} kernels give odd and even patch lengths; odd row
@@ -727,18 +842,16 @@ mod tests {
                 let conv = make_conv(co, ci, k, stride, BitWidth::W4, per_channel);
                 let x = make_input(5, 5, ci, BitWidth::W8, 3);
                 let mut od = OpCounts::default();
-                let mut og = OpCounts::default();
                 let mut ob = OpCounts::default();
                 let direct = conv.execute(&x, &mut od);
-                let gemm = conv.execute_gemm(&x, &mut og);
-                let blocked = conv.execute_blocked(&x, &mut ob);
                 assert_eq!(
-                    direct, blocked,
+                    direct,
+                    blocked(&conv, &x, &mut ob),
                     "co={co} ci={ci} k={k} s={stride} pc={per_channel}"
                 );
-                assert_eq!(gemm, blocked);
-                // The ledgers of the two GEMM dataflows are identical.
-                assert_eq!(og, ob);
+                assert_eq!(od.requants, ob.requants);
+                // The GEMM multiplies padded zero-contributions too.
+                assert!(ob.macs >= od.macs);
             }
         }
     }
@@ -747,13 +860,9 @@ mod tests {
     fn blocked_matches_on_sub_byte_operands() {
         let conv = make_conv(3, 2, 3, 1, BitWidth::W2, true);
         let x = make_input(6, 5, 2, BitWidth::W4, 0);
-        let mut og = OpCounts::default();
+        let mut od = OpCounts::default();
         let mut ob = OpCounts::default();
-        assert_eq!(
-            conv.execute_gemm(&x, &mut og),
-            conv.execute_blocked(&x, &mut ob)
-        );
-        assert_eq!(og, ob);
+        assert_eq!(conv.execute(&x, &mut od), blocked(&conv, &x, &mut ob));
     }
 
     #[test]
@@ -764,7 +873,34 @@ mod tests {
         let x = make_input(4, 4, 2, BitWidth::W8, 7);
         let mut od = OpCounts::default();
         let mut ob = OpCounts::default();
-        assert_eq!(conv.execute(&x, &mut od), conv.execute_blocked(&x, &mut ob));
+        assert_eq!(conv.execute(&x, &mut od), blocked(&conv, &x, &mut ob));
+    }
+
+    #[test]
+    fn im2col_geometry() {
+        let conv = make_conv(2, 3, 3, 2, BitWidth::W8, false);
+        let x = make_input(8, 8, 3, BitWidth::W8, 5);
+        let mut data = Vec::new();
+        let (rows, k) = conv.im2col_into(&x, &mut data, &mut OpCounts::default());
+        assert_eq!((rows, k), (4 * 4, 9 * 3));
+        assert_eq!(data.len(), 16 * 27);
+        assert_eq!(im2col_scratch_bytes(&conv, x.shape()), 16 * 27);
+    }
+
+    #[test]
+    fn im2col_pads_with_zero_point() {
+        // 1x1 input, 3x3 kernel: every tap except the centre is padding.
+        let conv = make_conv(1, 1, 3, 1, BitWidth::W8, false);
+        let x = QActivation::from_codes(Shape::feature_map(1, 1, 1), &[9], BitWidth::W8, 7);
+        let mut row = Vec::new();
+        conv.im2col_into(&x, &mut row, &mut OpCounts::default());
+        assert_eq!(row.len(), 9);
+        assert_eq!(row[4], 9, "centre tap is the real value");
+        for (i, &v) in row.iter().enumerate() {
+            if i != 4 {
+                assert_eq!(v, 7, "padded taps carry Zx");
+            }
+        }
     }
 
     #[test]
@@ -778,8 +914,15 @@ mod tests {
         let panels = conv.prepack_panels();
         let mut hot = Vec::new();
         let mut ops = OpCounts::default();
-        let shape =
-            conv.execute_blocked_prepacked(&panels, &x, &mut Vec::new(), &mut hot, &mut ops);
+        let shape = conv.execute_blocked_prepacked_pooled(
+            &panels,
+            &x,
+            &mut Vec::new(),
+            &mut Vec::new(),
+            &mut hot,
+            None,
+            &mut ops,
+        );
         let rows = shape.pixels() * shape.n;
         let mut cold = vec![0u8; rows * panels.out_channels()];
         let (mut rq, mut tc) = (0u64, 0u64);
@@ -812,11 +955,13 @@ mod tests {
         let panels = conv.prepack_panels();
         let mut serial_codes = Vec::new();
         let mut serial_ops = OpCounts::default();
-        conv.execute_blocked_prepacked(
+        conv.execute_blocked_prepacked_pooled(
             &panels,
             &x,
             &mut Vec::new(),
+            &mut Vec::new(),
             &mut serial_codes,
+            None,
             &mut serial_ops,
         );
         for threads in [1, 2, 3, 8] {
@@ -859,7 +1004,6 @@ mod tests {
             ),
         );
         let x = make_input(4, 4, 2, BitWidth::W8, 0);
-        let mut ops = OpCounts::default();
-        let _ = conv.execute_blocked(&x, &mut ops);
+        conv.im2col_into(&x, &mut Vec::new(), &mut OpCounts::default());
     }
 }

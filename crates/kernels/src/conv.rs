@@ -90,55 +90,33 @@ impl QConv2d {
         Shape::new(input.n, h, w, self.weights.out_channels())
     }
 
-    /// Runs the layer on a quantized activation, producing the quantized
-    /// output activation and charging `ops`.
+    /// Runs the layer on a quantized activation through the direct
+    /// reference kernel, producing the quantized output activation and
+    /// charging `ops`. Graph nodes execute through
+    /// [`QOp::execute_kernel`](crate::QOp::execute_kernel) instead, which
+    /// also dispatches the blocked GEMM; every kernel choice is
+    /// bit-identical to this one in output codes.
     ///
     /// # Panics
     ///
     /// Panics if the input channel count disagrees with the weights.
     pub fn execute(&self, x: &QActivation, ops: &mut OpCounts) -> QActivation {
-        self.execute_buffered(x, &mut Vec::new(), ops)
-    }
-
-    /// [`QConv2d::execute`] writing its unpacked output codes through
-    /// `out_codes` — the hook the [`crate::QGraph`] executor uses to reuse
-    /// one arena buffer across layers instead of allocating per layer.
-    pub fn execute_buffered(
-        &self,
-        x: &QActivation,
-        out_codes: &mut Vec<u8>,
-        ops: &mut OpCounts,
-    ) -> QActivation {
-        let out_shape = self.execute_codes(x, out_codes, ops);
+        let mut codes = Vec::new();
+        let out_shape = self.execute_codes_with(None, x, &mut codes, ops);
         QActivation::from_codes(
             out_shape,
-            out_codes,
+            &codes,
             self.requant.out_bits(),
-            self.requant.zero_point().clamp(0, 255) as u8,
+            self.out_zero_point(),
         )
     }
 
-    /// The codes-only kernel core: runs the convolution writing unpacked
-    /// output codes into `out_codes` (cleared and resized in place) and
-    /// returns the output shape, without packing an output tensor. The
-    /// arena-aware executor packs the codes into recycled storage itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input channel count disagrees with the weights.
-    pub fn execute_codes(
-        &self,
-        x: &QActivation,
-        out_codes: &mut Vec<u8>,
-        ops: &mut OpCounts,
-    ) -> Shape {
-        self.execute_codes_with(None, x, out_codes, ops)
-    }
-
-    /// [`QConv2d::execute_codes`] with an optional prepacked weight cache:
-    /// `wcodes`, when given, holds the weight codes decoded to one per byte
-    /// in `(c_o, k_h, k_w, c_i)` order, so the inner loop reads plain bytes
-    /// instead of mask-and-shift extracting each sub-byte operand. 8-bit
+    /// The codes-only direct kernel core: runs the convolution writing
+    /// unpacked output codes into `out_codes` (cleared and resized in
+    /// place) and returns the output shape. `wcodes`, when given, holds
+    /// the weight codes decoded to one per byte in `(c_o, k_h, k_w, c_i)`
+    /// order, so the inner loop reads plain bytes instead of
+    /// mask-and-shift extracting each sub-byte operand. 8-bit
     /// weights take the equivalent borrow of their packed bytes even
     /// without a cache. Bit-identical to the uncached path, including the
     /// abstract [`OpCounts`] ledger (which keeps pricing the deployed
@@ -146,9 +124,9 @@ impl QConv2d {
     ///
     /// # Panics
     ///
-    /// See [`QConv2d::execute_codes`]; additionally panics if `wcodes` has
-    /// the wrong length.
-    pub fn execute_codes_with(
+    /// Panics if the input channel count disagrees with the weights, or if
+    /// `wcodes` has the wrong length.
+    pub(crate) fn execute_codes_with(
         &self,
         wcodes: Option<&[u8]>,
         x: &QActivation,
@@ -198,7 +176,7 @@ impl QConv2d {
     ///
     /// See [`QConv2d::execute_codes_with`].
     #[allow(clippy::too_many_arguments)]
-    pub fn execute_codes_pooled(
+    pub(crate) fn execute_codes_pooled(
         &self,
         wcodes: Option<&[u8]>,
         x: &QActivation,

@@ -19,9 +19,14 @@
 //! extra live skip tensor; [`GraphRun::peak_live_bytes`] is the measured
 //! twin recorded by the executor.
 //!
-//! Every layer executed through the graph records a [`LayerRun`]: its
-//! [`OpCounts`] ledger, activation bytes and operator class. Cycle models
-//! (`mixq-mcu`) consume the ledger for per-layer latency breakdowns.
+//! The executor has **one schedule loop** and every node runs through one
+//! dispatch point, [`QOp::execute_kernel`]. [`QGraph::infer_batch`] runs
+//! the loop with recording off — the allocation-free steady-state path,
+//! with the classifier head writing its logits straight into the caller's
+//! buffer. [`QGraph::run`] and [`QGraph::run_with_arena`] run it with a
+//! recorder on: every node records a [`LayerRun`] — its [`OpCounts`]
+//! ledger, activation bytes, operator class and kernel choice — which
+//! cycle models (`mixq-mcu`) turn into per-layer latency breakdowns.
 //!
 //! Host-side execution speed is independent of that model: the blocked
 //! GEMM, depthwise and [`QAdd`] nodes requantize their accumulators
@@ -74,8 +79,7 @@ use mixq_quant::BitWidth;
 use mixq_tensor::Shape;
 
 use crate::backend::{Backend, KernelChoice};
-use crate::blocked::PackedPanels;
-use crate::gemm::im2col_scratch_bytes;
+use crate::blocked::{im2col_scratch_bytes, PackedPanels};
 use crate::threadpool::ThreadPool;
 use crate::{OpCounts, QActivation, QAdd, QAvgPool, QConv2d, QLinear};
 
@@ -91,7 +95,7 @@ use crate::{OpCounts, QActivation, QAdd, QAvgPool, QConv2d, QLinear};
 ///   [`PackedPanels`] (pair-interleaved GEMV weight panels + hoisted
 ///   `Σ W`/zero-point tables), so the per-call panel build of the PR-4
 ///   kernel disappears;
-/// * a direct or im2col-GEMM convolution — and the classifier head — with
+/// * a direct convolution — and the classifier head — with
 ///   **sub-byte** weights caches the codes decoded to one per byte in
 ///   `(c_o, k_h, k_w, c_i)` order, so the inner loop stops mask-and-shift
 ///   extracting every operand (8-bit weights already read their packed
@@ -293,11 +297,7 @@ impl QOp for QConv2d {
             // CMSIS-NN lowers depthwise directly; there is no im2col form.
             &[KernelChoice::DirectConv]
         } else {
-            &[
-                KernelChoice::DirectConv,
-                KernelChoice::Im2colGemm,
-                KernelChoice::BlockedGemm,
-            ]
+            &[KernelChoice::DirectConv, KernelChoice::BlockedGemm]
         }
     }
 
@@ -317,7 +317,7 @@ impl QOp for QConv2d {
         let wcodes = cache.and_then(PrepackedWeights::codes);
         // Clone the pool handle out so the `&mut` buffer takes below stay
         // disjoint borrows; the intra-node split is described on each
-        // `*_pooled`/`*_parallel` kernel.
+        // `*_pooled` kernel.
         let pool = arena.pool_handle();
         let pool = pool.as_deref();
         let shape = match choice {
@@ -325,14 +325,6 @@ impl QOp for QConv2d {
                 let mut aux = arena.take_aux();
                 let shape =
                     self.execute_codes_pooled(wcodes, inputs[0], &mut codes, &mut aux, pool, ops);
-                arena.put_aux(aux);
-                shape
-            }
-            KernelChoice::Im2colGemm => {
-                let mut aux = arena.take_aux();
-                let shape = self.execute_gemm_codes_parallel(
-                    wcodes, inputs[0], &mut aux, &mut codes, pool, ops,
-                );
                 arena.put_aux(aux);
                 shape
             }
@@ -386,7 +378,6 @@ impl QOp for QConv2d {
         match choice {
             // The direct loop reads the packed input in place.
             KernelChoice::DirectConv => 0,
-            KernelChoice::Im2colGemm => im2col_scratch_bytes(self, inputs[0]),
             // The blocked kernel's pointwise identity fast path borrows an
             // 8-bit input's packed storage zero-copy — no expansion at all.
             KernelChoice::BlockedGemm => {
@@ -562,7 +553,7 @@ fn prepack_conv_weights(
     }
 }
 
-/// The decoded-code prepack for direct/im2col kernels and the head: only
+/// The decoded-code prepack for direct kernels and the head: only
 /// sub-byte weights gain anything (one unpack + one store per code, once).
 fn prepack_decoded_codes(weights: &crate::QConvWeights) -> (Option<PrepackedWeights>, OpCounts) {
     if !weights.needs_unpack() {
@@ -812,7 +803,7 @@ impl GraphRun {
 /// The liveness-planned activation buffer pool: one shared unpacked-code
 /// scratch plus a free list of recycled packed-storage buffers, so that —
 /// after a warm-up run — steady-state inference through
-/// [`QGraph::infer_pooled`] performs **zero heap allocations**.
+/// [`QGraph::infer_batch`] performs **zero heap allocations**.
 ///
 /// The arena is the executor-side twin of the Eq. 7 accounting: the
 /// schedule keeps a tensor's storage exactly as long as a consumer still
@@ -1316,163 +1307,48 @@ impl QGraph {
         self.run_with_arena(input, &mut arena)
     }
 
-    /// Takes the arena's reusable schedule state and initializes it: the
-    /// last-use table and the tensor slots, with the graph input in slot 0.
-    /// Pair with [`QGraph::end_schedule`].
-    fn begin_schedule(
-        &self,
-        input: QActivation,
-        arena: &mut ActivationArena,
-    ) -> (Vec<usize>, Vec<Option<QActivation>>) {
-        let mut last = mem::take(&mut arena.last_uses);
-        self.last_uses_into(&mut last);
-        let mut slots = mem::take(&mut arena.slots);
-        slots.clear();
-        slots.resize_with(self.nodes.len() + 1, || None);
-        slots[0] = Some(input);
-        (last, slots)
-    }
-
-    /// Tears a schedule down: extracts the terminal activation (if any),
-    /// recycles every remaining live tensor and hands the reusable state
-    /// back to the arena.
-    fn end_schedule(
-        arena: &mut ActivationArena,
-        last: Vec<usize>,
-        mut slots: Vec<Option<QActivation>>,
-    ) -> Option<QActivation> {
-        let output = slots.last_mut().and_then(|s| s.take());
-        for slot in slots.iter_mut() {
-            if let Some(a) = slot.take() {
-                arena.recycle(a);
-            }
-        }
-        arena.slots = slots;
-        arena.last_uses = last;
-        output
-    }
-
     /// Runs the graph reusing a caller-owned arena (amortizes the working
-    /// set across inferences, e.g. over a whole evaluation set).
+    /// set across inferences, e.g. over a whole evaluation set), recording
+    /// one [`LayerRun`] per node and the measured live high-water mark.
     ///
     /// # Panics
     ///
     /// See [`QGraph::run`].
     pub fn run_with_arena(&self, input: QActivation, arena: &mut ActivationArena) -> GraphRun {
-        let n = self.nodes.len();
-        let (last, mut slots) = self.begin_schedule(input, arena);
-        let mut layers = Vec::with_capacity(n);
-        let mut logits: Option<Vec<i32>> = None;
-        let mut peak_live = 0usize;
-        for (i, node) in self.nodes.iter().enumerate() {
-            assert!(
-                logits.is_none(),
-                "classifier head must be the terminal node (violated at `{}`)",
-                node.name
-            );
-            let mut ops = OpCounts::default();
-            let (out, in_bytes, in_shape) = execute_node(node, &slots, arena, &mut ops);
-            let (out_bytes, out_shape) = match &out {
-                OpOutput::Act(a) => (a.byte_len(), a.shape()),
-                OpOutput::Logits(l) => (4 * l.len(), node.op.output_shape(&[in_shape])),
-            };
-            let live_now: usize =
-                slots.iter().flatten().map(|a| a.byte_len()).sum::<usize>() + out_bytes;
-            peak_live = peak_live.max(live_now);
-            layers.push(LayerRun {
-                name: node.name.clone(),
-                kind: node.op.kind(),
-                choice: node.choice,
-                ops,
-                prepack: node.prepack_ops,
-                in_bytes,
-                out_bytes,
-                out_shape,
-            });
-            match out {
-                OpOutput::Act(a) => slots[i + 1] = Some(a),
-                OpOutput::Logits(l) => logits = Some(l),
-            }
-            retire_dead(node, i, &last, &mut slots, arena);
-        }
-        let output = QGraph::end_schedule(arena, last, slots);
+        let mut layers = Vec::with_capacity(self.nodes.len());
+        let mut logits = Vec::new();
+        let mut ops = OpCounts::default();
+        let (output, have_logits, peak_live_bytes) =
+            self.walk(input, arena, &mut logits, &mut ops, Some(&mut layers));
         GraphRun {
+            logits: have_logits.then_some(logits),
             output,
-            logits,
             layers,
-            peak_live_bytes: peak_live,
+            peak_live_bytes,
         }
     }
 
-    /// The allocation-free inference path: runs a head-terminated graph
-    /// writing the logits into `logits_out` (cleared in place) and
-    /// accumulating the op ledger into `ops`, drawing every buffer from
-    /// `arena`. After one warm-up run over a given graph, subsequent calls
-    /// perform no heap allocation (asserted by the `allocation_free`
-    /// integration test).
+    /// The allocation-free inference path: one walk of a head-terminated
+    /// graph computes a whole batch. `input` carries the batch in its
+    /// shape's `n` dimension (N stacked NHWC items); every kernel sweeps
+    /// all N samples against the node's prepacked weights, so per-layer
+    /// dispatch, weight-panel streaming and sub-byte weight decoding are
+    /// amortized across the batch. The head writes `N · classes` logits
+    /// straight into `logits_out` (cleared in place) in row-major
+    /// `(n, classes)` order — bit-identical to N single-sample walks
+    /// (asserted by the `batch_matches_single_sample_logits` proptest) —
+    /// and the op ledger accumulates into `ops`.
+    ///
+    /// Every buffer is drawn from `arena`: after one warm-up run over a
+    /// given graph and batch size, subsequent calls perform no heap
+    /// allocation (asserted by the `allocation_free` integration test).
+    /// [`QGraph::peak_ram_bytes`] and [`QGraph::peak_scratch_bytes`] price
+    /// the batch dimension when given the batched input shape.
     ///
     /// # Panics
     ///
     /// Panics if the graph does not end in a classifier head, plus the
     /// conditions of [`QGraph::run`].
-    pub fn infer_pooled(
-        &self,
-        input: QActivation,
-        arena: &mut ActivationArena,
-        logits_out: &mut Vec<i32>,
-        ops: &mut OpCounts,
-    ) {
-        let (last, mut slots) = self.begin_schedule(input, arena);
-        let mut have_logits = false;
-        for (i, node) in self.nodes.iter().enumerate() {
-            assert!(
-                !have_logits,
-                "classifier head must be the terminal node (violated at `{}`)",
-                node.name
-            );
-            if let AnyOp::Linear(lin) = &node.op {
-                let x = expect_act(&slots, node.inputs[0], node.name());
-                lin.execute_into_with(
-                    node.cache.as_ref().and_then(PrepackedWeights::codes),
-                    x,
-                    logits_out,
-                    ops,
-                );
-                have_logits = true;
-            } else {
-                let (out, _, _) = execute_node(node, &slots, arena, ops);
-                match out {
-                    OpOutput::Act(a) => slots[i + 1] = Some(a),
-                    OpOutput::Logits(_) => unreachable!("heads are matched above"),
-                }
-            }
-            retire_dead(node, i, &last, &mut slots, arena);
-        }
-        if let Some(a) = QGraph::end_schedule(arena, last, slots) {
-            arena.recycle(a); // head-terminated graphs leave no activation
-        }
-        assert!(have_logits, "graph does not end in a classifier head");
-    }
-
-    /// Batched allocation-free inference: one walk of the graph computes a
-    /// whole batch. `input` carries the batch in its shape's `n` dimension
-    /// (N stacked NHWC items); every kernel sweeps all N samples against
-    /// the node's prepacked weights, so per-layer dispatch, weight-panel
-    /// streaming and sub-byte weight decoding are amortized across the
-    /// batch, and `logits_out` receives `N · classes` values in row-major
-    /// `(n, classes)` order — bit-identical to N single-sample
-    /// [`QGraph::infer_pooled`] calls (asserted by the
-    /// `batch_matches_single_sample_logits` proptest).
-    ///
-    /// Like the single-sample path, steady-state calls perform zero heap
-    /// allocations once the arena buffers reached their (batch-scaled)
-    /// capacities; [`QGraph::peak_ram_bytes`] and
-    /// [`QGraph::peak_scratch_bytes`] price the batch dimension when given
-    /// the batched input shape.
-    ///
-    /// # Panics
-    ///
-    /// See [`QGraph::infer_pooled`].
     pub fn infer_batch(
         &self,
         input: QActivation,
@@ -1480,7 +1356,110 @@ impl QGraph {
         logits_out: &mut Vec<i32>,
         ops: &mut OpCounts,
     ) {
-        self.infer_pooled(input, arena, logits_out, ops);
+        let (output, have_logits, _) = self.walk(input, arena, logits_out, ops, None);
+        if let Some(a) = output {
+            arena.recycle(a); // head-terminated graphs leave no activation
+        }
+        assert!(have_logits, "graph does not end in a classifier head");
+    }
+
+    /// The one schedule loop: executes every node in order against the
+    /// arena's liveness-planned slots, retiring each tensor after its last
+    /// consumer. A classifier head writes its logits straight into
+    /// `logits_out`; every node's ledger is charged to `ops`.
+    ///
+    /// With `record` on, each node's own ledger, bytes and shape are
+    /// appended as a [`LayerRun`] and the live high-water mark is tracked.
+    /// With it off, the loop clones no names, sums no live bytes and
+    /// allocates nothing.
+    ///
+    /// Returns the terminal activation (if the graph ends in one), whether
+    /// a head produced logits, and the measured peak live bytes (zero
+    /// when not recording).
+    fn walk(
+        &self,
+        input: QActivation,
+        arena: &mut ActivationArena,
+        logits_out: &mut Vec<i32>,
+        ops: &mut OpCounts,
+        mut record: Option<&mut Vec<LayerRun>>,
+    ) -> (Option<QActivation>, bool, usize) {
+        // The arena's reusable schedule state: the last-use table and the
+        // tensor slots, with the graph input in slot 0.
+        let mut last = mem::take(&mut arena.last_uses);
+        self.last_uses_into(&mut last);
+        let mut slots = mem::take(&mut arena.slots);
+        slots.clear();
+        slots.resize_with(self.nodes.len() + 1, || None);
+        slots[0] = Some(input);
+        let mut have_logits = false;
+        let mut peak_live = 0usize;
+        for (i, node) in self.nodes.iter().enumerate() {
+            assert!(
+                !have_logits,
+                "classifier head must be the terminal node (violated at `{}`)",
+                node.name
+            );
+            let mut layer_ops = OpCounts::default();
+            let node_ops = if record.is_some() {
+                &mut layer_ops
+            } else {
+                &mut *ops
+            };
+            let (in_bytes, in_shape) = if let AnyOp::Linear(lin) = &node.op {
+                let x = expect_act(&slots, node.inputs[0], node.name());
+                lin.execute_into_with(
+                    node.cache.as_ref().and_then(PrepackedWeights::codes),
+                    x,
+                    logits_out,
+                    node_ops,
+                );
+                have_logits = true;
+                (x.byte_len(), x.shape())
+            } else {
+                let (out, in_bytes, in_shape) = execute_node(node, &slots, arena, node_ops);
+                match out {
+                    OpOutput::Act(a) => slots[i + 1] = Some(a),
+                    OpOutput::Logits(_) => unreachable!("heads are matched above"),
+                }
+                (in_bytes, in_shape)
+            };
+            if let Some(layers) = record.as_deref_mut() {
+                *ops += layer_ops;
+                let (out_bytes, out_shape, logit_bytes) = match &slots[i + 1] {
+                    Some(a) => (a.byte_len(), a.shape(), 0),
+                    None => {
+                        let bytes = 4 * logits_out.len();
+                        (bytes, node.op.output_shape(&[in_shape]), bytes)
+                    }
+                };
+                // The live set: every slot (an activation output already
+                // sits in its own) plus logits, which live outside them.
+                let live_now: usize =
+                    slots.iter().flatten().map(|a| a.byte_len()).sum::<usize>() + logit_bytes;
+                peak_live = peak_live.max(live_now);
+                layers.push(LayerRun {
+                    name: node.name.clone(),
+                    kind: node.op.kind(),
+                    choice: node.choice,
+                    ops: layer_ops,
+                    prepack: node.prepack_ops,
+                    in_bytes,
+                    out_bytes,
+                    out_shape,
+                });
+            }
+            retire_dead(node, i, &last, &mut slots, arena);
+        }
+        // Tear down: take the terminal activation (if any), recycle every
+        // remaining live tensor and hand the state back to the arena.
+        let output = slots.last_mut().and_then(Option::take);
+        for a in slots.iter_mut().filter_map(Option::take) {
+            arena.recycle(a);
+        }
+        arena.slots = slots;
+        arena.last_uses = last;
+        (output, have_logits, peak_live)
     }
 }
 
@@ -1696,7 +1675,7 @@ mod tests {
         let mut arena = ActivationArena::new();
         let mut logits = Vec::new();
         let mut ops = OpCounts::default();
-        graph.infer_pooled(x, &mut arena, &mut logits, &mut ops);
+        graph.infer_batch(x, &mut arena, &mut logits, &mut ops);
         assert_eq!(Some(logits), run.logits);
         assert_eq!(ops, run.total_ops());
     }
@@ -1818,30 +1797,22 @@ mod tests {
         );
         let input = Shape::feature_map(8, 8, 3);
         let w8 = [BitWidth::W8];
-        // The direct loop runs in place; only the GEMM lowerings expand.
+        // The direct loop runs in place; only the GEMM lowering expands.
         assert_eq!(
             QOp::scratch_bytes(&dense, KernelChoice::DirectConv, &[input], &w8),
             0
-        );
-        assert_eq!(
-            QOp::scratch_bytes(&dense, KernelChoice::Im2colGemm, &[input], &w8),
-            8 * 8 * 9 * 3
         );
         assert_eq!(
             QOp::scratch_bytes(&dense, KernelChoice::BlockedGemm, &[input], &w8),
             8 * 8 * 9 * 3
         );
         // The blocked kernel's pointwise identity path borrows an 8-bit
-        // input zero-copy (no scratch); the naive GEMM still expands, and
-        // a sub-byte input needs the linear unpack buffer.
+        // input zero-copy (no scratch); a sub-byte input needs the linear
+        // unpack buffer.
         let pw = pointwise(3, 4, 1);
         assert_eq!(
             QOp::scratch_bytes(&pw, KernelChoice::BlockedGemm, &[input], &w8),
             0
-        );
-        assert_eq!(
-            QOp::scratch_bytes(&pw, KernelChoice::Im2colGemm, &[input], &w8),
-            8 * 8 * 3
         );
         assert_eq!(
             QOp::scratch_bytes(&pw, KernelChoice::BlockedGemm, &[input], &[BitWidth::W4]),
@@ -1941,7 +1912,7 @@ mod tests {
                 _inputs: &[Shape],
                 _in_bits: &[BitWidth],
             ) -> KernelChoice {
-                KernelChoice::Im2colGemm
+                KernelChoice::BlockedGemm
             }
         }
         let input = Shape::feature_map(5, 5, 2);

@@ -2,6 +2,7 @@ use std::fmt;
 
 use mixq_core::memory::QuantScheme;
 use mixq_core::mixed::BitAssignment;
+use mixq_kernels::backend::{BLOCKED_MAC_CYCLES, DIRECT_MAC_CYCLES};
 use mixq_kernels::{KernelChoice, LayerRun, OpCounts, OpKind};
 use mixq_models::{LayerKind, LayerSpec, NetworkSpec};
 use mixq_quant::BitWidth;
@@ -22,19 +23,24 @@ use mixq_quant::BitWidth;
 ///   end-to-end overhead for PC quantization;
 /// * one fixed-point multiply+shift+saturate per output for ICN
 ///   requantization, or `Q` binary-search comparisons for thresholds.
+///
+/// The Cortex-M7 is a single-issue scalar core for these kernels
+/// (`SMLAD`'s dual 16-bit MAC is folded into the per-MAC rates). Host-side
+/// SIMD levels and worker threads never feed into the model: the host
+/// kernels charge the abstract per-element ledger exactly as the scalar
+/// reference does, so modeled cycles are invariant under every
+/// `--threads` / `MIXQ_FORCE_SCALAR` setting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CortexM7CycleModel {
     /// Cycles per MAC, standard/pointwise convolution (8-bit operands,
-    /// direct output-stationary loop).
+    /// direct output-stationary loop). Defaults to
+    /// [`DIRECT_MAC_CYCLES`], the rate the tiled backend selects with.
     pub conv_cycles_per_mac: f64,
-    /// Cycles per MAC for a dense convolution lowered onto the plain
-    /// im2col + GEMM dataflow ([`KernelChoice::Im2colGemm`]): contiguous
-    /// operands let `SMLAD` dual-issue more often than the direct loop.
-    pub gemm_cycles_per_mac: f64,
-    /// Cycles per MAC for the register-blocked, cache-tiled GEMM
-    /// ([`KernelChoice::BlockedGemm`]): operand reuse across the microtile
-    /// removes most per-MAC load traffic.
-    pub blocked_gemm_cycles_per_mac: f64,
+    /// Cycles per MAC for the im2col + register-blocked GEMM
+    /// ([`KernelChoice::BlockedGemm`]): contiguous operands and reuse
+    /// across the microtile remove most per-MAC load traffic. Defaults to
+    /// [`BLOCKED_MAC_CYCLES`].
+    pub blocked_cycles_per_mac: f64,
     /// Cycles per MAC, depthwise convolution.
     pub dw_cycles_per_mac: f64,
     /// Cycles per MAC, fully connected.
@@ -53,28 +59,13 @@ pub struct CortexM7CycleModel {
     pub act_store_cycles: f64,
     /// Fixed per-layer scheduling overhead.
     pub layer_overhead: u64,
-    /// MAC lanes retired per issue slot. The Cortex-M7 is a
-    /// **single-issue scalar** core for these integer kernels (`SMLAD`'s
-    /// dual 16-bit MAC is already folded into the per-MAC rates), so the
-    /// default is `1.0` — an *exact* identity on the MAC term, not an
-    /// approximation. Raise it only to model a hypothetical SIMD MCU
-    /// (e.g. Helium/M55); host-side SIMD levels and worker threads never
-    /// feed into this model, so modeled cycles are invariant under every
-    /// `--threads` / `MIXQ_FORCE_SCALAR` setting. That invariance extends
-    /// to the vectorized requantization epilogue and SIMD sub-byte
-    /// pack/unpack (`mixq_kernels::simd::requant`, `mixq_quant::packing`):
-    /// those kernels charge the abstract per-element ledger — `requants`,
-    /// `threshold_cmps`, `unpacks` — exactly as the scalar reference does,
-    /// so the modeled MCU cost never sees how the host computed the codes.
-    pub simd_lanes: f64,
 }
 
 impl Default for CortexM7CycleModel {
     fn default() -> Self {
         CortexM7CycleModel {
-            conv_cycles_per_mac: 2.1,
-            gemm_cycles_per_mac: 1.9,
-            blocked_gemm_cycles_per_mac: 1.4,
+            conv_cycles_per_mac: DIRECT_MAC_CYCLES,
+            blocked_cycles_per_mac: BLOCKED_MAC_CYCLES,
             dw_cycles_per_mac: 7.0,
             fc_cycles_per_mac: 2.0,
             unpack_cycles: 0.8,
@@ -84,7 +75,6 @@ impl Default for CortexM7CycleModel {
             threshold_cmp_cycles: 3.0,
             act_store_cycles: 0.5,
             layer_overhead: 1500,
-            simd_lanes: 1.0,
         }
     }
 }
@@ -133,7 +123,7 @@ impl CortexM7CycleModel {
             LayerKind::DepthwiseConv => self.dw_cycles_per_mac,
             LayerKind::Linear => self.fc_cycles_per_mac,
         };
-        let mut cycles = macs * per_mac / self.simd_lanes;
+        let mut cycles = macs * per_mac;
         // Sub-byte operand unpacking in the inner loop.
         let mut unpacked_operands = 0.0;
         if weight_bits != BitWidth::W8 {
@@ -217,21 +207,20 @@ impl CortexM7CycleModel {
     ///
     /// Unlike [`CortexM7CycleModel::cycles_from_counts`], the operator
     /// class is known, so the right per-MAC rate applies — and the
-    /// [`KernelChoice`] picks between the direct, GEMM and blocked-GEMM
-    /// rates for dense convolutions, so a backend's selection and the
+    /// [`KernelChoice`] picks between the direct and blocked-GEMM rates
+    /// for dense convolutions, so a backend's selection and the
     /// latency model always agree. This is the path the `QGraph` executor's
     /// per-layer records feed.
     pub fn kernel_cycles(&self, kind: OpKind, choice: KernelChoice, ops: &OpCounts) -> u64 {
         let per_mac = match (kind, choice) {
-            (OpKind::Conv, KernelChoice::Im2colGemm) => self.gemm_cycles_per_mac,
-            (OpKind::Conv, KernelChoice::BlockedGemm) => self.blocked_gemm_cycles_per_mac,
+            (OpKind::Conv, KernelChoice::BlockedGemm) => self.blocked_cycles_per_mac,
             // Residual adds are MAC-free; their cost is the per-element
             // requantization and load/store traffic priced below.
             (OpKind::Conv | OpKind::Pool | OpKind::Add, _) => self.conv_cycles_per_mac,
             (OpKind::DepthwiseConv, _) => self.dw_cycles_per_mac,
             (OpKind::Linear, _) => self.fc_cycles_per_mac,
         };
-        (ops.macs as f64 * per_mac / self.simd_lanes
+        (ops.macs as f64 * per_mac
             + ops.unpacks as f64 * self.unpack_cycles
             + ops.offset_subs as f64 * self.pc_offset_cycles
             + ops.requants as f64 * self.requant_cycles
@@ -310,7 +299,7 @@ impl CortexM7CycleModel {
     /// so it uses a blended MAC rate).
     pub fn cycles_from_counts(&self, ops: &OpCounts) -> u64 {
         let blended_mac = (self.conv_cycles_per_mac + self.dw_cycles_per_mac) / 3.0;
-        (ops.macs as f64 * blended_mac / self.simd_lanes
+        (ops.macs as f64 * blended_mac
             + ops.unpacks as f64 * self.unpack_cycles
             + ops.offset_subs as f64 * self.pc_offset_cycles
             + ops.requants as f64 * self.requant_cycles
@@ -470,11 +459,10 @@ mod tests {
             ..OpCounts::default()
         };
         let direct = m.kernel_cycles(OpKind::Conv, KernelChoice::DirectConv, &ops);
-        let gemm = m.kernel_cycles(OpKind::Conv, KernelChoice::Im2colGemm, &ops);
         let blocked = m.kernel_cycles(OpKind::Conv, KernelChoice::BlockedGemm, &ops);
         assert!(
-            blocked < gemm && gemm < direct,
-            "per-MAC rates must order blocked < gemm < direct: {blocked} {gemm} {direct}"
+            blocked < direct,
+            "per-MAC rates must order blocked < direct: {blocked} {direct}"
         );
         // op_cycles is the DirectConv special case — the pre-backend rate.
         assert_eq!(direct, m.op_cycles(OpKind::Conv, &ops));

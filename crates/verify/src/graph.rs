@@ -420,7 +420,7 @@ fn verify_conv(
             violations.extend(geo);
             (chunk, acc)
         }
-        // Direct / naive GEMM paths accumulate (x − Zx)(w − Zw) in i64.
+        // The direct loop accumulates (x − Zx)(w − Zw) in i64.
         (false, _) => {
             let acc =
                 Interval::new(-(qx as i128) * qw as i128, qx as i128 * qw as i128).sum_of(taps);

@@ -110,7 +110,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t_seq = t_seq.elapsed();
     let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
     let t_par = Instant::now();
-    let (acc_par, ops_par) = int_net.evaluate_parallel(&ds, workers);
+    let (acc_par, ops_par) = int_net.evaluate_with(&ds, 1, workers);
     let t_par = t_par.elapsed();
     assert_eq!((acc_seq, ops_seq), (acc_par, ops_par), "shards must agree");
     println!(

@@ -1,14 +1,16 @@
 //! Shared helpers for the integration tests: lowering a shape-level
 //! [`NetworkSpec`] onto a real executor [`QGraph`] with dummy (all-zero)
 //! weights, so planner-vs-assignment agreement can be checked without
-//! training a network.
+//! training a network, and running one op through the executor's single
+//! kernel dispatch point.
 
 // Each test binary compiles its own copy; not all of them use every helper.
 #![allow(dead_code)]
 
 use mixq::core::mixed::BitAssignment;
 use mixq::kernels::{
-    QAdd, QAvgPool, QConv2d, QConvWeights, QGraph, QLinear, Requantizer, WeightOffset,
+    ActivationArena, KernelChoice, OpCounts, OpOutput, PrepackedWeights, QActivation, QAdd,
+    QAvgPool, QConv2d, QConvWeights, QGraph, QLinear, QOp, Requantizer, WeightOffset,
 };
 use mixq::models::{LayerKind, NetworkSpec};
 use mixq::quant::{BitWidth, FixedPointMultiplier};
@@ -112,4 +114,24 @@ pub fn pairwise_peak_bytes(spec: &NetworkSpec, assignment: &BitAssignment) -> us
         })
         .max()
         .unwrap_or(0)
+}
+
+/// Runs `op` on `x` through [`QOp::execute_kernel`] — the one entry point
+/// graph nodes execute through — with the given kernel choice and prepack
+/// cache and a fresh arena, charging `ops`.
+///
+/// # Panics
+///
+/// Panics if the op produces logits rather than an activation.
+pub fn run_kernel(
+    op: &impl QOp,
+    choice: KernelChoice,
+    cache: Option<&PrepackedWeights>,
+    x: &QActivation,
+    ops: &mut OpCounts,
+) -> QActivation {
+    match op.execute_kernel(choice, cache, &[x], &mut ActivationArena::new(), ops) {
+        OpOutput::Act(a) => a,
+        OpOutput::Logits(_) => panic!("run_kernel expects an activation-producing op"),
+    }
 }

@@ -186,7 +186,7 @@ fn parallel_evaluate_is_identical_to_sequential() {
     let (_, int_net, ds) = trained_residual(QuantScheme::PerChannelIcn, BitWidth::W4);
     let (acc_seq, ops_seq) = int_net.evaluate(&ds);
     for workers in [1, 3, 4, 64] {
-        let (acc_par, ops_par) = int_net.evaluate_parallel(&ds, workers);
+        let (acc_par, ops_par) = int_net.evaluate_with(&ds, 1, workers);
         assert_eq!(acc_seq, acc_par, "{workers} workers");
         assert_eq!(ops_seq, ops_par, "{workers} workers");
     }

@@ -1,13 +1,15 @@
 //! Consistency tests across the deployment stack: the *actual* converted
 //! network (packed tensors, requant parameters) must agree with the
-//! shape-level Table-1 memory model and with the alternative GEMM kernel
+//! shape-level Table-1 memory model and with the blocked GEMM kernel
 //! dataflow, and the exported C header must account for the same bytes.
+
+mod common;
 
 use mixq::core::convert::{convert, scheme_granularity, IntNetwork};
 use mixq::core::export::emit_c_header;
 use mixq::core::memory::{network_flash_footprint_with_acts, peak_activation_bytes, QuantScheme};
 use mixq::data::{Dataset, DatasetSpec, SyntheticKind};
-use mixq::kernels::OpCounts;
+use mixq::kernels::{KernelChoice, OpCounts, QOp};
 use mixq::models::micro::network_spec_of;
 use mixq::nn::qat::{MicroCnnSpec, QatNetwork};
 use mixq::nn::train::{train, TrainConfig};
@@ -72,21 +74,29 @@ fn converted_peak_ram_matches_memory_model() {
 #[test]
 fn gemm_paths_match_direct_on_converted_network() {
     // Run the first (standard) conv layer of a real converted network
-    // through all three dataflows.
+    // through both dataflows, the blocked GEMM with and without its
+    // prepacked panels.
     let (_, int_net, ds) = trained(QuantScheme::PerChannelIcn, BitWidth::W4);
+    let layer = int_net.layers()[0];
+    assert!(!layer.weights().is_depthwise());
+    let (panels, _) = QOp::prepack(layer, KernelChoice::BlockedGemm);
     for i in 0..4 {
         let x = int_net.quantize_input(&ds.sample(i).images);
-        let layer = &int_net.layers()[0];
-        assert!(!layer.weights().is_depthwise());
         let mut oa = OpCounts::default();
         let mut ob = OpCounts::default();
         let mut oc = OpCounts::default();
         let direct = layer.execute(&x, &mut oa);
-        let gemm = layer.execute_gemm(&x, &mut ob);
-        let blocked = layer.execute_blocked(&x, &mut oc);
-        assert_eq!(direct, gemm, "sample {i}");
+        let blocked = common::run_kernel(layer, KernelChoice::BlockedGemm, None, &x, &mut ob);
+        let cached = common::run_kernel(
+            layer,
+            KernelChoice::BlockedGemm,
+            panels.as_ref(),
+            &x,
+            &mut oc,
+        );
         assert_eq!(direct, blocked, "sample {i}");
-        assert_eq!(ob, oc, "GEMM dataflow ledgers agree, sample {i}");
+        assert_eq!(blocked, cached, "sample {i}");
+        assert_eq!(ob, oc, "prepacked and per-call ledgers agree, sample {i}");
     }
 }
 
@@ -220,10 +230,19 @@ fn infer_and_evaluate_agree() {
     let (_, int_net, ds) = trained(QuantScheme::PerChannelIcn, BitWidth::W8);
     let (acc, _) = int_net.evaluate(&ds);
     let manual = (0..ds.len())
-        .filter(|&i| int_net.predict(&ds.sample(i).images) == ds.labels()[i])
+        .filter(|&i| argmax(&int_net.infer(&ds.sample(i).images).0) == ds.labels()[i])
         .count() as f32
         / ds.len() as f32;
     assert!((acc - manual).abs() < 1e-6);
+}
+
+fn argmax(logits: &[i32]) -> usize {
+    logits
+        .iter()
+        .enumerate()
+        .max_by_key(|&(_, v)| *v)
+        .map(|(i, _)| i)
+        .unwrap_or(0)
 }
 
 #[test]
@@ -232,8 +251,7 @@ fn modeled_cycles_invariant_under_host_execution_settings() {
     // unpacks, requants...), never the host dataflow — so the modeled
     // deployment latency of one walk must come out identical whether the
     // host ran forced-scalar, auto-detected SIMD, or an intra-walk worker
-    // pool. `simd_lanes` stays at its default 1.0 (single-issue scalar
-    // MCU), an exact identity on the MAC term.
+    // pool.
     use mixq::core::convert::convert_with_backend;
     use mixq::kernels::{simd, ActivationArena, SimdLevel, ThreadPool, TiledBackend};
     use mixq::mcu::CortexM7CycleModel;
@@ -264,7 +282,6 @@ fn modeled_cycles_invariant_under_host_execution_settings() {
     };
 
     let model = CortexM7CycleModel::default();
-    assert_eq!(model.simd_lanes, 1.0, "MCU model defaults to scalar issue");
     let (base_logits, base_ops) = walk(Some(SimdLevel::Scalar), 1);
     let base_cycles = model.cycles_from_counts(&base_ops);
     assert!(base_cycles > 0);
@@ -290,22 +307,4 @@ fn modeled_cycles_invariant_under_host_execution_settings() {
             "{forced:?}/{threads}T modeled cycles"
         );
     }
-    // A hypothetical vector MCU (`simd_lanes` > 1) scales only the MAC
-    // term; everything else in the estimate is untouched.
-    let vector_mcu = CortexM7CycleModel {
-        simd_lanes: 2.0,
-        ..CortexM7CycleModel::default()
-    };
-    let zero_mac = OpCounts {
-        macs: 0,
-        ..base_ops
-    };
-    let non_mac = model.cycles_from_counts(&zero_mac);
-    assert_eq!(vector_mcu.cycles_from_counts(&zero_mac), non_mac);
-    let halved = vector_mcu.cycles_from_counts(&base_ops) - non_mac;
-    let full = base_cycles - non_mac;
-    assert!(
-        (halved as i64 - (full / 2) as i64).abs() <= 1,
-        "two lanes halve the MAC term: {halved} vs {full}/2"
-    );
 }
