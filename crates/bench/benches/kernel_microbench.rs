@@ -161,6 +161,23 @@ fn depthwise(co: usize) -> QConv2d {
     )
 }
 
+/// A 3×3 depthwise layer with W4 weights and per-channel zero-points, as
+/// the mixed-precision deployments cut them.
+fn depthwise_w4(co: usize) -> QConv2d {
+    let w = QConvWeights::new(
+        Shape::new(co, 3, 3, 1),
+        true,
+        &(0..co * 9).map(|i| (i % 16) as u8).collect::<Vec<_>>(),
+        BitWidth::W4,
+        WeightOffset::PerChannel((0..co).map(|c| (c % 3) as i16 + 6).collect()),
+    );
+    QConv2d::new(
+        w,
+        ConvGeometry::new(3, 3, 1, Padding::Same),
+        icn_identity(co, BitWidth::W8),
+    )
+}
+
 fn pointwise(co: usize) -> QConv2d {
     let w = QConvWeights::new(
         Shape::new(co, 1, 1, co),
@@ -172,28 +189,62 @@ fn pointwise(co: usize) -> QConv2d {
     QConv2d::new(w, ConvGeometry::pointwise(), icn_identity(co, BitWidth::W8))
 }
 
+/// Times `op` as a graph node runs it: through `QOp::execute_kernel` with
+/// `choice`, its prepacked weight cache and a warmed arena that recycles
+/// each output.
+fn time_node(op: &impl QOp, choice: KernelChoice, x: &QActivation) -> f64 {
+    let (cache, _) = op.prepack(choice);
+    let mut arena = ActivationArena::new();
+    let mut ops = OpCounts::default();
+    time_us(SAMPLES, || {
+        match op.execute_kernel(
+            choice,
+            cache.as_ref(),
+            &[black_box(x)],
+            &mut arena,
+            &mut ops,
+        ) {
+            OpOutput::Act(a) => arena.recycle(a),
+            OpOutput::Logits(_) => unreachable!("conv and pool nodes produce activations"),
+        }
+    })
+}
+
+/// Depthwise vs pointwise vs pooling over one 16×16×32 map, each through
+/// the kernel its graph node runs. The depthwise rows (W4 weights,
+/// per-channel zero-points) take the tap kernel at an 8-bit and at a
+/// 4-bit input (the latter unpacked once per call).
 fn bench_depthwise_vs_pointwise() {
     let co = 32;
-    let dw = depthwise(co);
+    let dw = depthwise_w4(co);
     let pw = pointwise(co);
     let shape = Shape::feature_map(16, 16, co);
+    for (name, bits) in [
+        ("depthwise_3x3", BitWidth::W8),
+        ("dw_3x3_w4_in", BitWidth::W4),
+    ] {
+        let codes: Vec<u8> = (0..shape.volume())
+            .map(|i| (i % bits.levels() as usize) as u8)
+            .collect();
+        let x = QActivation::from_codes(shape, &codes, bits, 3);
+        report(
+            "dw_vs_pw",
+            name,
+            time_node(&dw, KernelChoice::DirectConv, &x),
+        );
+    }
     let codes: Vec<u8> = (0..shape.volume()).map(|i| (i % 256) as u8).collect();
     let x = QActivation::from_codes(shape, &codes, BitWidth::W8, 0);
-    let us = time_us(SAMPLES, || {
-        let mut ops = OpCounts::default();
-        dw.execute(black_box(&x), &mut ops)
-    });
-    report("dw_vs_pw", "depthwise_3x3", us);
-    let us = time_us(SAMPLES, || {
-        let mut ops = OpCounts::default();
-        pw.execute(black_box(&x), &mut ops)
-    });
-    report("dw_vs_pw", "pointwise_1x1", us);
-    let us = time_us(SAMPLES, || {
-        let mut ops = OpCounts::default();
-        QAvgPool.execute(black_box(&x), &mut ops)
-    });
-    report("dw_vs_pw", "avgpool", us);
+    report(
+        "dw_vs_pw",
+        "pointwise_1x1",
+        time_node(&pw, KernelChoice::BlockedGemm, &x),
+    );
+    report(
+        "dw_vs_pw",
+        "avgpool",
+        time_node(&QAvgPool, KernelChoice::DirectConv, &x),
+    );
 }
 
 /// The two dense-convolution dataflows head to head: the direct

@@ -28,8 +28,10 @@
 //! ledger, activation bytes, operator class and kernel choice — which
 //! cycle models (`mixq-mcu`) turn into per-layer latency breakdowns.
 //!
-//! Host-side execution speed is independent of that model: the blocked
-//! GEMM, depthwise and [`QAdd`] nodes requantize their accumulators
+//! Host-side execution speed is independent of that model: blocked-GEMM
+//! and depthwise nodes multiply-accumulate through the runtime-dispatched
+//! primitives in [`crate::simd`] (`gemv2`, `dw_taps`), and they and the
+//! [`QAdd`] nodes requantize their accumulators
 //! through the vectorized epilogue in [`crate::simd::requant`] (and
 //! sub-byte activations pack/unpack through the SIMD kernels in
 //! `mixq_quant::packing`), while codes **and** ledger stay bit-identical
@@ -323,8 +325,11 @@ impl QOp for QConv2d {
         let shape = match choice {
             KernelChoice::DirectConv => {
                 let mut aux = arena.take_aux();
-                let shape =
-                    self.execute_codes_pooled(wcodes, inputs[0], &mut codes, &mut aux, pool, ops);
+                let mut stage = mem::take(&mut arena.stage);
+                let shape = self.execute_codes_pooled(
+                    wcodes, inputs[0], &mut codes, &mut aux, &mut stage, pool, ops,
+                );
+                arena.stage = stage;
                 arena.put_aux(aux);
                 shape
             }
@@ -814,6 +819,9 @@ impl GraphRun {
 pub struct ActivationArena {
     scratch: Vec<u8>,
     aux: Vec<u8>,
+    /// A sub-byte depthwise input, unpacked one code per byte for the
+    /// depthwise tap kernel.
+    stage: Vec<u8>,
     acc: Vec<i32>,
     packed: Vec<Vec<u8>>,
     slots: Vec<Option<QActivation>>,
@@ -889,6 +897,7 @@ impl ActivationArena {
     pub fn capacity_bytes(&self) -> usize {
         self.scratch.capacity()
             + self.aux.capacity()
+            + self.stage.capacity()
             + self.acc.capacity() * 4
             + self.packed.iter().map(|b| b.capacity()).sum::<usize>()
     }

@@ -1,7 +1,7 @@
 //! Runtime-dispatched SIMD primitives for the blocked GEMM's u8×u8
-//! inner kernel — the host-side analogue of the PULP-NN vectorized dot
-//! products (arXiv:2007.07759) that give mixed-precision conv kernels
-//! their throughput on real silicon.
+//! inner kernel and the depthwise tap kernel — the host-side analogue of
+//! the PULP-NN vectorized dot products (arXiv:2007.07759) that give
+//! mixed-precision conv kernels their throughput on real silicon.
 //!
 //! Three facts make an **exact** (bit-identical) SIMD path possible:
 //!
@@ -33,6 +33,20 @@
 //! | [`SimdLevel::Avx2`] | x86_64 | `vpmovzxbw` + `vpmaddwd` (the `maddubs`-family widening multiply-add, minus its signed-saturating hazard: both operands are zero-extended to `i16`, so every pairwise product is exact) |
 //! | [`SimdLevel::Neon`] | aarch64 | `vld2` de-interleave + `vmull_u8` widening multiply |
 //!
+//! Depthwise convolution has no reduction over input channels, so it gets
+//! its own primitive, [`dw_taps`]: a **channel-vectorized dual-tap**
+//! multiply-accumulate. Each call computes one output pixel's
+//! accumulators for a block of channels; two kernel taps advance per
+//! vector op, their zero-point-centred `i16` inputs interleaved against a
+//! pair-interleaved, zero-point-centred `i16` weight panel:
+//!
+//! | level | depthwise dual-tap multiply-accumulate |
+//! |---|---|
+//! | [`SimdLevel::Scalar`] | portable per-channel tap loop (the reference) |
+//! | [`SimdLevel::Sse2`] | `punpcklbw` tap interleave + zero-extend, `psubw` centring, `pmaddwd` |
+//! | [`SimdLevel::Avx2`] | `punpck{l,h}bw` tap interleave, `vpmovzxbw` + `vpsubw` centring, `vpmaddwd` |
+//! | [`SimdLevel::Neon`] | the portable loop, auto-vectorized at the NEON baseline |
+//!
 //! The level is detected once per process ([`detected_level`]), can be
 //! pinned down with the `MIXQ_FORCE_SCALAR=1` environment variable (CI's
 //! fallback-coverage leg), and can be narrowed programmatically with
@@ -55,6 +69,15 @@ pub mod requant;
 /// Largest patch length [`gemv2`] accepts per call: every channel's
 /// accumulator holds `Σ u8·u8` in `i32`, and `32768 · 255² < 2³¹`.
 pub const MAX_DOT_LEN: usize = 32768;
+
+/// Largest depthwise kernel area (taps per output pixel) [`dw_taps`]
+/// accepts — 5×5 and every smaller kernel. Even, so the zero-weight pad
+/// tap that completes an odd kernel's last pair still fits. Each `i32`
+/// lane sums at most this many products of a centred input
+/// (`|x − zx| ≤ 255`) and a centred weight that fits `i16`
+/// (`|w − zw| ≤ 2¹⁵`): `32 · 255 · 2¹⁵ < 2²⁸`, and for the `[0, 255]`
+/// zero-points a converted network carries, `≤ MAX_DW_TAPS · 255²`.
+pub const MAX_DW_TAPS: usize = 32;
 
 /// A vector instruction level the GEMV primitives can run at.
 ///
@@ -328,6 +351,90 @@ fn gemv2_channel_tail(
     }
 }
 
+/// The depthwise dual-tap kernel: one output pixel's accumulators for a
+/// block of `n = acc.len()` channels,
+///
+/// `acc[j] = Σ_p Σ_s (x[offs[2p + s] + j] − zx) · wpairs[(p·n + j)·2 + s]`
+///
+/// (overwriting `acc`). `offs` lists the byte offset of each tap's
+/// channel row in `x` — an even count, so an odd kernel appends a pad tap
+/// whose weights are zero (any in-bounds offset will do). `wpairs` is the
+/// block's zero-point-centred weight panel with the two taps of each pair
+/// interleaved per channel, so one widening multiply-add (`pmaddwd`)
+/// advances eight (AVX2) or four (SSE2) channels by two taps. A tap that
+/// falls in the padding is a row of `zx` codes, which centres to zero.
+///
+/// Exactness: `|x − zx| ≤ 255` and every weight is an `i16`, so each
+/// product fits `i32`, a `pmaddwd` pair sum cannot reach its one
+/// overflowing input (both `i16::MIN` squared), and at most
+/// [`MAX_DW_TAPS`] products per lane stay far inside `i32` — every
+/// backend returns the same integers as the scalar loop.
+///
+/// # Panics
+///
+/// Panics unless `offs.len()` is even and `≤ MAX_DW_TAPS`,
+/// `wpairs.len() == offs.len() · n`, and every tap row
+/// `x[offs[t]..offs[t] + n]` is in bounds — the invariants the vector
+/// backends' unchecked loads rely on.
+#[inline]
+pub fn dw_taps(
+    level: SimdLevel,
+    x: &[u8],
+    offs: &[usize],
+    zx: u8,
+    wpairs: &[i16],
+    acc: &mut [i32],
+) {
+    let n = acc.len();
+    assert!(
+        offs.len() % 2 == 0 && offs.len() <= MAX_DW_TAPS,
+        "depthwise taps come in pairs, at most MAX_DW_TAPS"
+    );
+    assert_eq!(
+        wpairs.len(),
+        offs.len() * n,
+        "depthwise weight panel length"
+    );
+    assert!(
+        offs.iter().all(|&o| o + n <= x.len()),
+        "depthwise tap row out of bounds"
+    );
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: SSE2 is positively detected (see `row_sum`); every tap
+        // row and the weight panel were bounds-checked above; lanes sum
+        // ≤ MAX_DW_TAPS products of |x − zx| ≤ 255 by an i16 weight,
+        // exact in i32 (see `MAX_DW_TAPS`).
+        SimdLevel::Sse2 => unsafe { x86::dw_taps_sse2(x, offs, zx, wpairs, acc) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above, with AVX2 positively detected.
+        SimdLevel::Avx2 => unsafe { x86::dw_taps_avx2(x, offs, zx, wpairs, acc) },
+        #[allow(unreachable_patterns)]
+        _ => dw_taps_channels(x, offs, zx, wpairs, 0, acc),
+    }
+}
+
+/// The portable depthwise tap loop over channels `[j0, n)` — the scalar
+/// level, and the channel remainder of the vector backends. Tap pairs
+/// outer, channels inner: a straight-line span multiply-accumulate the
+/// compiler can vectorize.
+fn dw_taps_channels(x: &[u8], offs: &[usize], zx: u8, wpairs: &[i16], j0: usize, acc: &mut [i32]) {
+    let n = acc.len();
+    let zx = zx as i32;
+    acc[j0..].fill(0);
+    for (t, w) in offs.chunks_exact(2).zip(wpairs.chunks_exact(2 * n)) {
+        let (r0, r1) = (&x[t[0] + j0..t[0] + n], &x[t[1] + j0..t[1] + n]);
+        for (((a, w), &x0), &x1) in acc[j0..]
+            .iter_mut()
+            .zip(w[2 * j0..].chunks_exact(2))
+            .zip(r0)
+            .zip(r1)
+        {
+            *a += (x0 as i32 - zx) * w[0] as i32 + (x1 as i32 - zx) * w[1] as i32;
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! SSE2/AVX2 backends. Overflow bound (per `i32` accumulator lane,
@@ -336,7 +443,7 @@ mod x86 {
     //! `16384 · 130050 < 2³¹`. `psadbw` partials (`≤ 8·255`) accumulate
     //! in 64-bit lanes.
 
-    use super::gemv2_channel_tail;
+    use super::{dw_taps_channels, gemv2_channel_tail};
     #[allow(clippy::wildcard_imports)]
     use std::arch::x86_64::*;
 
@@ -382,6 +489,133 @@ mod x86 {
             total += v as i64;
         }
         total
+    }
+
+    /// # Safety
+    /// Caller must have detected AVX2; bounds as checked in [`super::dw_taps`].
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn dw_taps_avx2(x: &[u8], offs: &[usize], zx: u8, wpairs: &[i16], acc: &mut [i32]) {
+        let n = acc.len();
+        let xp = x.as_ptr();
+        let wp = wpairs.as_ptr();
+        let zxv = _mm256_set1_epi16(zx as i16);
+        let mut j = 0;
+        // 16 channels per step: both taps' 16 codes interleave into two
+        // 8-channel halves of (x_t0, x_t1) byte pairs, zero-extend to
+        // i16, centre, and meet their (w_t0, w_t1) pairs in vpmaddwd.
+        while j + 16 <= n {
+            let mut a0 = _mm256_setzero_si256();
+            let mut a1 = _mm256_setzero_si256();
+            for (p, t) in offs.chunks_exact(2).enumerate() {
+                let x0 = _mm_loadu_si128(xp.add(t[0] + j) as *const __m128i);
+                let x1 = _mm_loadu_si128(xp.add(t[1] + j) as *const __m128i);
+                let lo = _mm256_sub_epi16(_mm256_cvtepu8_epi16(_mm_unpacklo_epi8(x0, x1)), zxv);
+                let hi = _mm256_sub_epi16(_mm256_cvtepu8_epi16(_mm_unpackhi_epi8(x0, x1)), zxv);
+                let w = wp.add((p * n + j) * 2);
+                a0 = _mm256_add_epi32(
+                    a0,
+                    _mm256_madd_epi16(lo, _mm256_loadu_si256(w as *const __m256i)),
+                );
+                a1 = _mm256_add_epi32(
+                    a1,
+                    _mm256_madd_epi16(hi, _mm256_loadu_si256(w.add(16) as *const __m256i)),
+                );
+            }
+            _mm256_storeu_si256(acc.as_mut_ptr().add(j) as *mut __m256i, a0);
+            _mm256_storeu_si256(acc.as_mut_ptr().add(j + 8) as *mut __m256i, a1);
+            j += 16;
+        }
+        if j + 8 <= n {
+            let mut a0 = _mm256_setzero_si256();
+            for (p, t) in offs.chunks_exact(2).enumerate() {
+                let x0 = _mm_loadl_epi64(xp.add(t[0] + j) as *const __m128i);
+                let x1 = _mm_loadl_epi64(xp.add(t[1] + j) as *const __m128i);
+                let v = _mm256_sub_epi16(_mm256_cvtepu8_epi16(_mm_unpacklo_epi8(x0, x1)), zxv);
+                let w = _mm256_loadu_si256(wp.add((p * n + j) * 2) as *const __m256i);
+                a0 = _mm256_add_epi32(a0, _mm256_madd_epi16(v, w));
+            }
+            _mm256_storeu_si256(acc.as_mut_ptr().add(j) as *mut __m256i, a0);
+            j += 8;
+        }
+        if j + 4 <= n {
+            dw_taps4_sse2(x, offs, zx, wpairs, j, acc);
+            j += 4;
+        }
+        if j < n {
+            dw_taps_channels(x, offs, zx, wpairs, j, acc);
+        }
+    }
+
+    /// # Safety
+    /// Caller must have detected SSE2; bounds as checked in [`super::dw_taps`].
+    #[target_feature(enable = "sse2")]
+    pub unsafe fn dw_taps_sse2(x: &[u8], offs: &[usize], zx: u8, wpairs: &[i16], acc: &mut [i32]) {
+        let n = acc.len();
+        let xp = x.as_ptr();
+        let wp = wpairs.as_ptr();
+        let zero = _mm_setzero_si128();
+        let zxv = _mm_set1_epi16(zx as i16);
+        let mut j = 0;
+        // 8 channels per step: punpcklbw interleaves the two taps' codes,
+        // punpck{l,h}bw against zero zero-extends each 4-channel half.
+        while j + 8 <= n {
+            let mut a0 = _mm_setzero_si128();
+            let mut a1 = _mm_setzero_si128();
+            for (p, t) in offs.chunks_exact(2).enumerate() {
+                let x0 = _mm_loadl_epi64(xp.add(t[0] + j) as *const __m128i);
+                let x1 = _mm_loadl_epi64(xp.add(t[1] + j) as *const __m128i);
+                let v = _mm_unpacklo_epi8(x0, x1);
+                let lo = _mm_sub_epi16(_mm_unpacklo_epi8(v, zero), zxv);
+                let hi = _mm_sub_epi16(_mm_unpackhi_epi8(v, zero), zxv);
+                let w = wp.add((p * n + j) * 2);
+                a0 = _mm_add_epi32(a0, _mm_madd_epi16(lo, _mm_loadu_si128(w as *const __m128i)));
+                a1 = _mm_add_epi32(
+                    a1,
+                    _mm_madd_epi16(hi, _mm_loadu_si128(w.add(8) as *const __m128i)),
+                );
+            }
+            _mm_storeu_si128(acc.as_mut_ptr().add(j) as *mut __m128i, a0);
+            _mm_storeu_si128(acc.as_mut_ptr().add(j + 4) as *mut __m128i, a1);
+            j += 8;
+        }
+        if j + 4 <= n {
+            dw_taps4_sse2(x, offs, zx, wpairs, j, acc);
+            j += 4;
+        }
+        if j < n {
+            dw_taps_channels(x, offs, zx, wpairs, j, acc);
+        }
+    }
+
+    /// Channels `j..j + 4` of [`super::dw_taps`] (the 4-lane tail of both
+    /// x86 backends): 4-byte tap loads, `pmaddwd` into one `i32` vector.
+    ///
+    /// # Safety
+    /// Caller must have detected SSE2 and keep `j + 4 ≤ acc.len()`;
+    /// bounds as checked in [`super::dw_taps`].
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    unsafe fn dw_taps4_sse2(
+        x: &[u8],
+        offs: &[usize],
+        zx: u8,
+        wpairs: &[i16],
+        j: usize,
+        acc: &mut [i32],
+    ) {
+        let n = acc.len();
+        let xp = x.as_ptr();
+        let zero = _mm_setzero_si128();
+        let zxv = _mm_set1_epi16(zx as i16);
+        let mut a = _mm_setzero_si128();
+        for (p, t) in offs.chunks_exact(2).enumerate() {
+            let x0 = _mm_cvtsi32_si128((xp.add(t[0] + j) as *const i32).read_unaligned());
+            let x1 = _mm_cvtsi32_si128((xp.add(t[1] + j) as *const i32).read_unaligned());
+            let v = _mm_sub_epi16(_mm_unpacklo_epi8(_mm_unpacklo_epi8(x0, x1), zero), zxv);
+            let w = _mm_loadu_si128(wpairs.as_ptr().add((p * n + j) * 2) as *const __m128i);
+            a = _mm_add_epi32(a, _mm_madd_epi16(v, w));
+        }
+        _mm_storeu_si128(acc.as_mut_ptr().add(j) as *mut __m128i, a);
     }
 
     /// Column pairs per splat-buffer chunk: both rows' pre-packed
@@ -737,6 +971,82 @@ mod tests {
             }
             assert_eq!(row_sum(level, &x), k as i64 * 255, "{level:?}");
         }
+    }
+
+    /// Reference depthwise sum for `dw_taps`: plain `i64` arithmetic.
+    fn dw_reference(x: &[u8], offs: &[usize], zx: u8, wpairs: &[i16], n: usize) -> Vec<i64> {
+        (0..n)
+            .map(|j| {
+                (0..offs.len())
+                    .map(|t| {
+                        let w = wpairs[((t / 2) * n + j) * 2 + t % 2] as i64;
+                        (x[offs[t] + j] as i64 - zx as i64) * w
+                    })
+                    .sum()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dw_taps_levels_match_reference() {
+        // n hits: below one vector tile, the 8- and 16-lane steps and
+        // every tail; tap counts cover 1×1 (one pair) up to MAX_DW_TAPS.
+        for n in [1, 3, 7, 8, 9, 15, 16, 17, 24, 31, 40, 64] {
+            for taps in [2, 4, 10, 26, MAX_DW_TAPS] {
+                let rows = taps + 3;
+                let x = lcg_bytes(7 + (n * taps) as u64, rows * n + 5);
+                let offs: Vec<usize> = (0..taps).map(|t| (t * 5 + 1) % rows * n).collect();
+                let wpairs: Vec<i16> = lcg_bytes(13 + n as u64, taps * n)
+                    .into_iter()
+                    .map(|b| b as i16 - 100)
+                    .collect();
+                for zx in [0u8, 3, 128, 255] {
+                    let want = dw_reference(&x, &offs, zx, &wpairs, n);
+                    for level in levels_to_test() {
+                        let mut acc = vec![7i32; n]; // dw_taps overwrites
+                        dw_taps(level, &x, &offs, zx, &wpairs, &mut acc);
+                        let got: Vec<i64> = acc.iter().map(|&a| a as i64).collect();
+                        assert_eq!(got, want, "{level:?} n={n} taps={taps} zx={zx}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dw_taps_extreme_operands_stay_exact() {
+        // Every lane at its bound: |x − zx| = 255 against the widest i16
+        // weights of both signs, over the maximum tap count.
+        let n = 19;
+        let taps = MAX_DW_TAPS;
+        let offs: Vec<usize> = (0..taps).map(|t| t * n).collect();
+        for (xv, zx) in [(255u8, 0u8), (0, 255)] {
+            let x = vec![xv; taps * n];
+            for wv in [i16::MAX, i16::MIN + 1] {
+                let wpairs = vec![wv; taps * n];
+                let want = dw_reference(&x, &offs, zx, &wpairs, n);
+                for level in levels_to_test() {
+                    let mut acc = vec![0i32; n];
+                    dw_taps(level, &x, &offs, zx, &wpairs, &mut acc);
+                    let got: Vec<i64> = acc.iter().map(|&a| a as i64).collect();
+                    assert_eq!(got, want, "{level:?} x={xv} zx={zx} w={wv}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn dw_taps_rejects_out_of_bounds_rows() {
+        let mut acc = [0i32; 8];
+        dw_taps(
+            detected_level(),
+            &[0u8; 15],
+            &[0, 8],
+            0,
+            &[0i16; 16],
+            &mut acc,
+        );
     }
 
     #[test]

@@ -23,6 +23,10 @@
 //! tables, 255-entry `W8` tables where 255×2 linear compares would lose to 8
 //! binary-search probes), and for out-of-`i32`-range corrections.
 //!
+//! [`apply_i32_block`] (the depthwise tap kernel's per-pixel epilogue)
+//! widens its `i32` accumulators in-register rather than staging them as
+//! `i64`; the lanes then run the same kernels as [`apply_phi_block`].
+//!
 //! The two tricky scalar semantics reproduced in-vector:
 //!
 //! * `FixedPointMultiplier::apply` is `(m0 as i64 * v) >> (31 − n0)` with an
@@ -39,9 +43,30 @@
 use crate::requant::Requantizer;
 use crate::simd::SimdLevel;
 
-/// Lanes staged per chunk when widening `i32` accumulators for
-/// [`apply_i32_block`] (matches the depthwise block size).
-const PHI_CHUNK: usize = 64;
+/// The accumulators a requantization block reads: precomputed `i64`
+/// `Φ`s, or `i32` accumulators (`Φ = acc as i64`) that the vector kernels
+/// widen in-register.
+#[derive(Clone, Copy)]
+enum Phis<'a> {
+    Wide(&'a [i64]),
+    Narrow(&'a [i32]),
+}
+
+impl Phis<'_> {
+    fn len(self) -> usize {
+        match self {
+            Phis::Wide(p) => p.len(),
+            Phis::Narrow(p) => p.len(),
+        }
+    }
+
+    fn get(self, i: usize) -> i64 {
+        match self {
+            Phis::Wide(p) => p[i],
+            Phis::Narrow(p) => p[i] as i64,
+        }
+    }
+}
 
 /// SIMD-friendly transposition of a [`Requantizer`]: per-channel multiplier
 /// mantissas/shift biases (or transposed threshold tables) laid out for
@@ -228,17 +253,13 @@ pub fn apply_phi_block(
     requants: &mut u64,
     cmps: &mut u64,
 ) {
-    assert_eq!(phis.len(), out.len(), "phi/out length mismatch");
-    assert!(c0 + phis.len() <= plan.channels(), "channel range overflow");
-    let done = vector_phi(plan, level, c0, phis, out);
-    plan.charge(c0, done, requants, cmps);
-    for i in done..phis.len() {
-        out[i] = req.apply(c0 + i, phis[i], requants, cmps);
-    }
+    apply_block(plan, req, level, c0, Phis::Wide(phis), out, requants, cmps);
 }
 
 /// Requantizes a block of `i32` accumulators (`Φ = acc as i64`) for channels
-/// `c0..c0 + accs.len()` — the depthwise fast-path epilogue.
+/// `c0..c0 + accs.len()` — the depthwise tap kernel's per-pixel epilogue.
+/// The vector kernels widen the accumulators in-register; bit-identical
+/// to [`apply_phi_block`] over the widened values.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_i32_block(
     plan: &RequantPlan,
@@ -250,25 +271,36 @@ pub fn apply_i32_block(
     requants: &mut u64,
     cmps: &mut u64,
 ) {
-    assert_eq!(accs.len(), out.len(), "acc/out length mismatch");
-    let mut phibuf = [0i64; PHI_CHUNK];
-    let mut i = 0;
-    while i < accs.len() {
-        let n = (accs.len() - i).min(PHI_CHUNK);
-        for (p, &a) in phibuf[..n].iter_mut().zip(&accs[i..i + n]) {
-            *p = a as i64;
-        }
-        apply_phi_block(
-            plan,
-            req,
-            level,
-            c0 + i,
-            &phibuf[..n],
-            &mut out[i..i + n],
-            requants,
-            cmps,
-        );
-        i += n;
+    apply_block(
+        plan,
+        req,
+        level,
+        c0,
+        Phis::Narrow(accs),
+        out,
+        requants,
+        cmps,
+    );
+}
+
+/// The shared body of [`apply_phi_block`] and [`apply_i32_block`].
+#[allow(clippy::too_many_arguments)]
+fn apply_block(
+    plan: &RequantPlan,
+    req: &Requantizer,
+    level: SimdLevel,
+    c0: usize,
+    phis: Phis<'_>,
+    out: &mut [u8],
+    requants: &mut u64,
+    cmps: &mut u64,
+) {
+    assert_eq!(phis.len(), out.len(), "phi/out length mismatch");
+    assert!(c0 + phis.len() <= plan.channels(), "channel range overflow");
+    let done = vector_phi(plan, level, c0, phis, out);
+    plan.charge(c0, done, requants, cmps);
+    for (i, o) in out.iter_mut().enumerate().skip(done) {
+        *o = req.apply(c0 + i, phis.get(i), requants, cmps);
     }
 }
 
@@ -363,7 +395,7 @@ fn vector_phi(
     plan: &RequantPlan,
     level: SimdLevel,
     c0: usize,
-    phis: &[i64],
+    phis: Phis<'_>,
     out: &mut [u8],
 ) -> usize {
     if !plan.vectorizable() {
@@ -434,7 +466,7 @@ fn corrections_fit_i32(sx: i64, zx: i64, zw: &[i64], wbase: &[i64]) -> bool {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{PlanKind, RequantPlan};
+    use super::{Phis, PlanKind, RequantPlan};
     use std::arch::x86_64::*;
 
     /// `a > b` per 64-bit lane without SSE4.2's `pcmpgtq`: lanes are equal
@@ -496,6 +528,28 @@ mod x86 {
     unsafe fn widen2_sse2(p: *const i32) -> __m128i {
         let v = _mm_loadl_epi64(p as *const __m128i);
         _mm_unpacklo_epi32(v, _mm_srai_epi32(v, 31))
+    }
+
+    /// `Φ` lanes `i..i + 2` as `i64` (caller keeps `i + 2 ≤ phis.len()`).
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    unsafe fn load2_sse2(phis: Phis<'_>, i: usize) -> __m128i {
+        match phis {
+            Phis::Wide(p) => _mm_loadu_si128(p.as_ptr().add(i) as *const __m128i),
+            Phis::Narrow(p) => widen2_sse2(p.as_ptr().add(i)),
+        }
+    }
+
+    /// `Φ` lanes `i..i + 4` as `i64` (caller keeps `i + 4 ≤ phis.len()`).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load4_avx2(phis: Phis<'_>, i: usize) -> __m256i {
+        match phis {
+            Phis::Wide(p) => _mm256_loadu_si256(p.as_ptr().add(i) as *const __m256i),
+            Phis::Narrow(p) => {
+                _mm256_cvtepi32_epi64(_mm_loadu_si128(p.as_ptr().add(i) as *const __m128i))
+            }
+        }
     }
 
     #[inline]
@@ -639,12 +693,17 @@ mod x86 {
     }
 
     /// Precomputed-`Φ` entry, AVX2 (4 channels per iteration).
-    pub unsafe fn phi_avx2(plan: &RequantPlan, c0: usize, phis: &[i64], out: &mut [u8]) -> usize {
+    pub unsafe fn phi_avx2(plan: &RequantPlan, c0: usize, phis: Phis<'_>, out: &mut [u8]) -> usize {
         phi_avx2_impl(plan, c0, phis, out)
     }
 
     #[target_feature(enable = "avx2")]
-    unsafe fn phi_avx2_impl(plan: &RequantPlan, c0: usize, phis: &[i64], out: &mut [u8]) -> usize {
+    unsafe fn phi_avx2_impl(
+        plan: &RequantPlan,
+        c0: usize,
+        phis: Phis<'_>,
+        out: &mut [u8],
+    ) -> usize {
         let n = phis.len() & !3;
         let zyv = _mm256_set1_epi64x(plan.zy);
         let qmaxv = _mm256_set1_epi64x(plan.qmax);
@@ -659,7 +718,7 @@ mod x86 {
             } => {
                 for i in (0..n).step_by(4) {
                     let c = c0 + i;
-                    let phi = _mm256_loadu_si256(phis.as_ptr().add(i) as *const __m256i);
+                    let phi = load4_avx2(phis, i);
                     let code = fixed_lanes_avx2(
                         phi,
                         bq.as_ptr().add(c),
@@ -681,7 +740,7 @@ mod x86 {
                 ..
             } => {
                 for i in (0..n).step_by(4) {
-                    let phi = _mm256_loadu_si256(phis.as_ptr().add(i) as *const __m256i);
+                    let phi = load4_avx2(phis, i);
                     let code = thresh_lanes_avx2(
                         phi,
                         c0 + i,
@@ -700,12 +759,17 @@ mod x86 {
     }
 
     /// Precomputed-`Φ` entry, SSE2 (2 channels per iteration).
-    pub unsafe fn phi_sse2(plan: &RequantPlan, c0: usize, phis: &[i64], out: &mut [u8]) -> usize {
+    pub unsafe fn phi_sse2(plan: &RequantPlan, c0: usize, phis: Phis<'_>, out: &mut [u8]) -> usize {
         phi_sse2_impl(plan, c0, phis, out)
     }
 
     #[target_feature(enable = "sse2")]
-    unsafe fn phi_sse2_impl(plan: &RequantPlan, c0: usize, phis: &[i64], out: &mut [u8]) -> usize {
+    unsafe fn phi_sse2_impl(
+        plan: &RequantPlan,
+        c0: usize,
+        phis: Phis<'_>,
+        out: &mut [u8],
+    ) -> usize {
         let n = phis.len() & !1;
         let zyv = _mm_set1_epi64x(plan.zy);
         let qmaxv = _mm_set1_epi64x(plan.qmax);
@@ -720,7 +784,7 @@ mod x86 {
             } => {
                 for i in (0..n).step_by(2) {
                     let c = c0 + i;
-                    let phi = _mm_loadu_si128(phis.as_ptr().add(i) as *const __m128i);
+                    let phi = load2_sse2(phis, i);
                     let code = fixed_lanes_sse2(
                         phi,
                         bq.as_ptr().add(c),
@@ -742,7 +806,7 @@ mod x86 {
                 ..
             } => {
                 for i in (0..n).step_by(2) {
-                    let phi = _mm_loadu_si128(phis.as_ptr().add(i) as *const __m128i);
+                    let phi = load2_sse2(phis, i);
                     let code = thresh_lanes_sse2(
                         phi,
                         c0 + i,
@@ -971,8 +1035,17 @@ mod x86 {
 
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use super::{PlanKind, RequantPlan};
+    use super::{Phis, PlanKind, RequantPlan};
     use std::arch::aarch64::*;
+
+    /// `Φ` lanes `i..i + 2` as `i64` (caller keeps `i + 2 ≤ phis.len()`).
+    #[inline]
+    unsafe fn load2_neon(phis: Phis<'_>, i: usize) -> int64x2_t {
+        match phis {
+            Phis::Wide(p) => vld1q_s64(p.as_ptr().add(i)),
+            Phis::Narrow(p) => vmovl_s32(vld1_s32(p.as_ptr().add(i))),
+        }
+    }
 
     #[inline]
     unsafe fn clamp64_neon(x: int64x2_t, lo: int64x2_t, hi: int64x2_t) -> int64x2_t {
@@ -1035,7 +1108,7 @@ mod neon {
     }
 
     /// Precomputed-`Φ` entry, NEON (2 channels per iteration).
-    pub unsafe fn phi_neon(plan: &RequantPlan, c0: usize, phis: &[i64], out: &mut [u8]) -> usize {
+    pub unsafe fn phi_neon(plan: &RequantPlan, c0: usize, phis: Phis<'_>, out: &mut [u8]) -> usize {
         let n = phis.len() & !1;
         let zyv = vdupq_n_s64(plan.zy);
         let qmaxv = vdupq_n_s64(plan.qmax);
@@ -1044,7 +1117,7 @@ mod neon {
             PlanKind::Fixed { bq, m0, shift, .. } => {
                 for i in (0..n).step_by(2) {
                     let c = c0 + i;
-                    let phi = vld1q_s64(phis.as_ptr().add(i));
+                    let phi = load2_neon(phis, i);
                     let code = fixed_lanes_neon(
                         phi,
                         bq.as_ptr().add(c),
@@ -1065,7 +1138,7 @@ mod neon {
                 ..
             } => {
                 for i in (0..n).step_by(2) {
-                    let phi = vld1q_s64(phis.as_ptr().add(i));
+                    let phi = load2_neon(phis, i);
                     let code = thresh_lanes_neon(
                         phi,
                         c0 + i,
@@ -1348,7 +1421,7 @@ mod tests {
 
     #[test]
     fn i32_block_matches_scalar_apply() {
-        let req = random_icn(31, 130, BitWidth::W4); // > PHI_CHUNK to cross chunks
+        let req = random_icn(31, 130, BitWidth::W4); // 4-lane steps + a 2-lane tail
         let plan = RequantPlan::new(&req);
         let mut s = 99u64;
         let accs: Vec<i32> = (0..130).map(|_| lcg(&mut s) as i32).collect();

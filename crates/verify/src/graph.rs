@@ -396,7 +396,7 @@ fn verify_conv(
 
     // i32 accumulation stage of the resolved kernel.
     let (chunk, acc) = match (depthwise, choice) {
-        // Depthwise fast path: i32 accumulator over zero-point-subtracted
+        // Depthwise tap kernel: i32 accumulator over zero-point-subtracted
         // products, `kernel_area` taps per channel.
         (true, _) => {
             let acc =

@@ -5,7 +5,9 @@
 //! buffer is recycled. The guarantee is asserted at batch 1, at
 //! **batch > 1**, for the **tiled backend**, whose blocked-GEMM nodes
 //! stream their prepacked weight panels and draw the im2col expansion from
-//! the arena's auxiliary scratch, and with an intra-walk worker pool.
+//! the arena's auxiliary scratch, with an intra-walk worker pool, and for
+//! a depthwise node reading a 4-bit activation, whose once-per-call
+//! unpack is staged in an arena buffer.
 //!
 //! This file installs a counting global allocator, so it deliberately
 //! contains a single test (parallel tests in the same binary would pollute
@@ -19,9 +21,9 @@ use std::sync::Arc;
 use mixq::core::convert::{convert, convert_with_backend, IntNetwork};
 use mixq::core::memory::QuantScheme;
 use mixq::data::{DatasetSpec, SyntheticKind};
-use mixq::kernels::{ActivationArena, OpCounts, ThreadPool, TiledBackend};
+use mixq::kernels::{ActivationArena, OpCounts, OpKind, QOp, ThreadPool, TiledBackend};
 use mixq::nn::qat::{MicroCnnSpec, QatNetwork};
-use mixq::quant::Granularity;
+use mixq::quant::{BitWidth, Granularity};
 
 struct CountingAlloc;
 
@@ -55,28 +57,8 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_inference_is_allocation_free() {
-    // Build a depthwise-separable micro network with a residual skip, so
-    // the pooled path covers conv, depthwise, add, pool and head nodes.
     // (Setup may allocate freely; only the steady state is measured.)
-    let spec = {
-        use mixq::nn::qat::BlockSpec;
-        use mixq::nn::ConvKind;
-        let std_block = |c: usize, kernel: usize| BlockSpec {
-            out_channels: c,
-            stride: 1,
-            kind: ConvKind::Standard,
-            kernel,
-        };
-        let dw_block = |c: usize| BlockSpec {
-            out_channels: c,
-            stride: 1,
-            kind: ConvKind::Depthwise,
-            kernel: 3,
-        };
-        MicroCnnSpec::new(8, 8, 2, 3, &[4])
-            .with_blocks(vec![std_block(4, 3), dw_block(4), std_block(4, 1)])
-            .with_residual(0, 2)
-    };
+    let spec = separable_residual_spec();
     let ds = DatasetSpec::new(SyntheticKind::Bars, 8, 8, 2, 3)
         .with_samples(4)
         .generate(7);
@@ -137,6 +119,62 @@ fn steady_state_inference_is_allocation_free() {
         pooled_steady.1, batched_steady.1,
         "threaded walk is bit-identical"
     );
+
+    // A sub-byte depthwise input: the first block's output is cut to 4
+    // bits, so the depthwise node unpacks its input once per call into
+    // an arena staging buffer — drawn from the arena after warm-up at
+    // batch 1 and at batch 4 (each leg also asserts steady-state logits
+    // equal the warm-up run's).
+    let mut net4 = QatNetwork::build(&spec, 13);
+    net4.set_act_bits(0, BitWidth::W4);
+    net4.calibrate_input(ds.images());
+    net4.enable_fake_quant(Granularity::PerChannel);
+    let net4 = convert_with_backend(&net4, QuantScheme::PerChannelIcn, &TiledBackend::default())
+        .expect("convertible");
+    let dw_in_bits = net4
+        .graph()
+        .nodes()
+        .iter()
+        .find(|n| n.op().kind() == OpKind::DepthwiseConv)
+        .map(|n| {
+            net4.graph().nodes()[n.inputs()[0] - 1]
+                .op()
+                .out_bits(&[BitWidth::W8])
+        });
+    assert_eq!(
+        dw_in_bits,
+        Some(BitWidth::W4),
+        "the depthwise node reads 4-bit codes"
+    );
+    for batch in [1, 4] {
+        let (leaked, _) = measure_batched(&net4, ds.images(), batch);
+        assert_eq!(
+            leaked, 0,
+            "steady-state batch-{batch} inference with a 4-bit depthwise input must not touch the heap"
+        );
+    }
+}
+
+/// A depthwise-separable micro network with a residual skip, so the
+/// pooled path covers conv, depthwise, add, pool and head nodes.
+fn separable_residual_spec() -> MicroCnnSpec {
+    use mixq::nn::qat::BlockSpec;
+    use mixq::nn::ConvKind;
+    let std_block = |c: usize, kernel: usize| BlockSpec {
+        out_channels: c,
+        stride: 1,
+        kind: ConvKind::Standard,
+        kernel,
+    };
+    let dw_block = |c: usize| BlockSpec {
+        out_channels: c,
+        stride: 1,
+        kind: ConvKind::Depthwise,
+        kernel: 3,
+    };
+    MicroCnnSpec::new(8, 8, 2, 3, &[4])
+        .with_blocks(vec![std_block(4, 3), dw_block(4), std_block(4, 1)])
+        .with_residual(0, 2)
 }
 
 /// Warm-up then measured batched steady state: returns the minimum

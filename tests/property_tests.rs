@@ -336,6 +336,83 @@ proptest! {
     }
 
     #[test]
+    fn depthwise_kernel_matches_reference(
+        k in prop_oneof![Just(3usize), Just(5usize)],
+        stride in 1usize..3,
+        same in any::<bool>(),
+        ch in 1usize..80,
+        h in 1usize..10,
+        w in 1usize..10,
+        batch in 1usize..4,
+        wbits in bitwidth_strategy(),
+        abits in bitwidth_strategy(),
+        out_bits in bitwidth_strategy(),
+        zws in proptest::collection::vec(-3i16..260, 80),
+        zx in 0u8..=255,
+        seed in 0u64..1000,
+    ) {
+        // The depthwise tap kernel a graph node runs (`execute_kernel`,
+        // with and without its prepacked weight codes) must equal the
+        // per-MAC reference `QConv2d::execute` — output codes AND the
+        // abstract ledger — at every SIMD level the host can run and
+        // across a 2-thread channel split. The channel range crosses the
+        // 64-channel block and every 8/16-lane tail; sub-byte inputs
+        // take the staged-unpack path.
+        use std::sync::Arc;
+        use mixq::kernels::{simd, ActivationArena, OpOutput, ThreadPool};
+        let (h, w) = if same { (h, w) } else { (h.max(k), w.max(k)) };
+        let padding = if same { Padding::Same } else { Padding::Valid };
+        let lcg = |i: usize, salt: u64, levels: u32| {
+            ((i as u64 * 2654435761 + seed * 97 + salt) % 1_000_003 % levels as u64) as u8
+        };
+        let wcodes: Vec<u8> = (0..ch * k * k).map(|i| lcg(i, 1, wbits.levels())).collect();
+        let conv = QConv2d::new(
+            QConvWeights::new(
+                Shape::new(ch, k, k, 1),
+                true,
+                &wcodes,
+                wbits,
+                WeightOffset::PerChannel(zws[..ch].to_vec()),
+            ),
+            ConvGeometry::new(k, k, stride, padding),
+            Requantizer::icn(
+                (0..ch).map(|c| (c as i32 % 7) * 50 - 150).collect(),
+                (0..ch)
+                    .map(|c| FixedPointMultiplier::from_real(0.0005 + c as f64 * 0.0007))
+                    .collect(),
+                1,
+                out_bits,
+            ),
+        );
+        let shape = Shape::feature_map(h, w, ch).with_batch(batch);
+        let xcodes: Vec<u8> = (0..shape.volume()).map(|i| lcg(i, 2, abits.levels())).collect();
+        let x = QActivation::from_codes(shape, &xcodes, abits, zx);
+
+        let mut ref_ops = OpCounts::default();
+        let reference = conv.execute(&x, &mut ref_ops);
+        let (codes, _) = conv.prepack(KernelChoice::DirectConv);
+        for cache in [None, codes.as_ref()] {
+            for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2, SimdLevel::Neon] {
+                if !level.available() {
+                    continue;
+                }
+                simd::set_forced(Some(level));
+                let mut ops = OpCounts::default();
+                let y = common::run_kernel(&conv, KernelChoice::DirectConv, cache, &x, &mut ops);
+                simd::set_forced(None);
+                prop_assert_eq!(&y, &reference, "{:?} codes diverge", level);
+                prop_assert_eq!(ops, ref_ops, "{:?} ledger diverges", level);
+            }
+            let mut arena = ActivationArena::new();
+            arena.set_pool(Arc::new(ThreadPool::new(2)));
+            let mut ops = OpCounts::default();
+            let out = conv.execute_kernel(KernelChoice::DirectConv, cache, &[&x], &mut arena, &mut ops);
+            prop_assert_eq!(out, OpOutput::Act(reference.clone()), "channel split diverges");
+            prop_assert_eq!(ops, ref_ops, "channel-split ledger diverges");
+        }
+    }
+
+    #[test]
     fn backends_produce_bit_identical_logits(
         depth in 1usize..4,
         ch in 1usize..6,
