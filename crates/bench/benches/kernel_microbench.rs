@@ -289,7 +289,7 @@ fn bench_phase_breakdown() {
     for (name, x) in [("im2col_w4_in", &x4), ("im2col_w8_in", &x8)] {
         let us = time_us(SAMPLES, || {
             let mut ops = OpCounts::default();
-            conv.im2col_into(black_box(x), &mut scratch, &mut ops);
+            conv.im2col_into(black_box(x), &mut scratch, None, &mut ops);
             ops
         });
         report("phase_breakdown", name, us);

@@ -33,7 +33,7 @@ use std::time::Instant;
 
 use mixq_bench::harness::{
     available_cores, bench_json_out_path, gated_target, host_meta, json_array, json_out_path, rule,
-    threads_arg, write_json, JsonObject,
+    write_json, JsonObject,
 };
 use mixq_core::convert::{convert_with_backend, IntNetwork};
 use mixq_core::memory::QuantScheme;
@@ -193,22 +193,6 @@ fn main() {
         );
     }
 
-    // A `--threads N` flag run for the CI bench-smoke matrix: exercises
-    // the deploy-style plumbing (`IntNetwork::set_threads`) end to end.
-    let flagged_threads = threads_arg();
-    let mut flagged = tiled.clone();
-    flagged.set_threads(flagged_threads);
-    let (flagged_logits, _) = flagged
-        .try_infer_batch(ds.images())
-        .expect("dataset images match the network input");
-    let (base_logits, _) = baseline.expect("sweep measured");
-    assert_eq!(
-        flagged_logits.concat(),
-        base_logits,
-        "set_threads walk must be bit-identical"
-    );
-    println!("flagged run (threads {flagged_threads}): logits bit-identical");
-
     if let Some(path) = json_out_path() {
         // Deterministic golden: shape math, the modeled-cycle invariant,
         // and the exact row splits the pool would use on the stem conv's
@@ -241,7 +225,7 @@ fn main() {
         let mut root = JsonObject::new();
         root.string("bench", "table_walk_scaling")
             .string("network", &format!("mobilenet_like_residual_{res}px_w4"))
-            .raw("host", host_meta(flagged_threads).render())
+            .raw("host", host_meta(1).render())
             .int("batch", BATCH);
         let cfg_rows = rows.iter().map(|&(t, s, v)| {
             let mut obj = JsonObject::new();

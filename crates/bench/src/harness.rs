@@ -188,30 +188,6 @@ pub fn batch_arg() -> usize {
     n
 }
 
-/// The intra-walk worker-thread count selected by the bench binary's
-/// `--threads N` flag (1 when absent). Benches that execute integer
-/// graphs forward it to
-/// [`IntNetwork::set_threads`](mixq_core::convert::IntNetwork::set_threads),
-/// splitting each single graph walk's row/channel blocks across a worker
-/// pool. Logits are bit-identical across thread counts; only host
-/// wall-clock changes.
-///
-/// # Panics
-///
-/// Panics on a malformed or out-of-range thread count.
-pub fn threads_arg() -> usize {
-    let Some(v) = arg_value("--threads") else {
-        return 1;
-    };
-    let n: usize = v.parse().unwrap_or_else(|_| panic!("bad threads `{v}`"));
-    assert!(
-        (1..=mixq_kernels::MAX_POOL_THREADS).contains(&n),
-        "threads must be in 1..={}",
-        mixq_kernels::MAX_POOL_THREADS
-    );
-    n
-}
-
 /// Host parallelism as a plain count (1 when the OS cannot say).
 ///
 /// This is the single gate every multicore speedup target goes through:

@@ -15,13 +15,11 @@
 //! the weights per layer (PL+FB), stored per channel (PL+ICN / PC+ICN), or
 //! expanded into exact integer thresholds (PC+Thresholds).
 
-use std::sync::Arc;
-
 use mixq_data::Dataset;
 use mixq_kernels::{
     ActivationArena, AnyOp, Backend, GraphRun, KernelChoice, OpCounts, QActivation, QAdd, QAvgPool,
-    QConv2d, QConvWeights, QGraph, QLinear, ReferenceBackend, Requantizer, ThreadPool,
-    ThresholdChannel, WeightOffset, MAX_POOL_THREADS,
+    QConv2d, QConvWeights, QGraph, QLinear, ReferenceBackend, Requantizer, ThresholdChannel,
+    WeightOffset,
 };
 use mixq_nn::qat::{ConvBlock, QatMode, QatNetwork};
 use mixq_nn::ConvKind;
@@ -49,10 +47,6 @@ pub struct IntNetwork {
     input_shape: Shape,
     graph: QGraph,
     scheme: QuantScheme,
-    /// Worker threads each single graph walk splits its row/channel blocks
-    /// across (1 = serial). A host-throughput knob only: logits, op counts
-    /// and modeled MCU cycles are bit-identical at every setting.
-    threads: usize,
 }
 
 impl IntNetwork {
@@ -137,46 +131,6 @@ impl IntNetwork {
         Ok(shape.n)
     }
 
-    /// Worker threads used *inside* each graph walk (see
-    /// [`IntNetwork::set_threads`]).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Sets the number of worker threads each single graph walk splits its
-    /// im2col row blocks (GEMM paths) and output-channel blocks (direct /
-    /// depthwise paths) across. `1` (the default) keeps every walk serial.
-    ///
-    /// This is intra-walk parallelism — orthogonal to the `workers` of
-    /// [`IntNetwork::evaluate_with`], which shard *batches* across threads
-    /// with serial walks. Don't multiply the two: the product is the total
-    /// thread count.
-    ///
-    /// Logits, `OpCounts` and modeled MCU cycles are bit-identical at
-    /// every setting (asserted by the threading proptests); only host
-    /// wall-clock changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero or exceeds
-    /// [`MAX_POOL_THREADS`].
-    pub fn set_threads(&mut self, threads: usize) {
-        assert!(
-            (1..=MAX_POOL_THREADS).contains(&threads),
-            "threads must be in 1..={MAX_POOL_THREADS}, got {threads}"
-        );
-        self.threads = threads;
-    }
-
-    /// Attaches a fresh worker pool to `arena` when `threads > 1` — one
-    /// pool per evaluation call, reused across every walk that shares the
-    /// arena, so steady state stays allocation-free.
-    fn attach_pool(&self, arena: &mut ActivationArena) {
-        if self.threads > 1 {
-            arena.set_pool(Arc::new(ThreadPool::new(self.threads)));
-        }
-    }
-
     /// The kernel implementation each graph node resolved to, in schedule
     /// order — all `DirectConv` for a [`ReferenceBackend`] conversion.
     pub fn kernel_choices(&self) -> Vec<KernelChoice> {
@@ -247,7 +201,6 @@ impl IntNetwork {
     ) -> Result<(Vec<Vec<i32>>, OpCounts), MixQError> {
         let batch = self.validate_request(images)?;
         let mut arena = ActivationArena::new();
-        self.attach_pool(&mut arena);
         let mut logits = Vec::new();
         let mut ops = OpCounts::default();
         let x = self.quantize_input_items_pooled(images, 0, batch, &mut arena);
@@ -315,13 +268,12 @@ impl IntNetwork {
     /// layer across all of them, so per-layer dispatch and
     /// prepacked-weight streaming are amortized.
     ///
-    /// With `workers == 1` the walks run on the caller thread, split
-    /// across [`IntNetwork::set_threads`] intra-walk workers. Otherwise
+    /// With `workers == 1` the walks run on the caller thread. Otherwise
     /// the dataset's `⌈n / batch⌉` batches are sharded into contiguous
-    /// runs over `workers` scoped threads, one arena each, and every walk
-    /// stays serial — combining batch-level sharding with intra-walk
-    /// splitting would oversubscribe the host. Every graph walk keeps its
-    /// full batch width (only the final batch may be partial).
+    /// runs over `workers` scoped threads, one arena each. Every graph
+    /// walk keeps its full batch width (only the final batch may be
+    /// partial) and runs serially; intra-walk splitting attaches to an
+    /// arena instead ([`ActivationArena::set_pool`]).
     ///
     /// Accuracy and `OpCounts` are bit-identical for every `batch` and
     /// `workers` (batches are disjoint and ledger sums order-independent;
@@ -346,9 +298,7 @@ impl IntNetwork {
         }
         let num_batches = n.div_ceil(batch);
         let (correct, ops) = if workers == 1 {
-            let mut arena = ActivationArena::new();
-            self.attach_pool(&mut arena);
-            self.evaluate_shard(dataset, batch, 0..num_batches, arena)
+            self.evaluate_shard(dataset, batch, 0..num_batches, ActivationArena::new())
         } else {
             let workers = workers.min(num_batches);
             let chunk = num_batches.div_ceil(workers);
@@ -587,7 +537,6 @@ pub fn convert_with_backend(
         input_shape: net.input_shape(),
         graph,
         scheme,
-        threads: 1,
     })
 }
 

@@ -71,6 +71,18 @@ pub enum MixQError {
         /// The first violation's diagnostic, verbatim.
         first: String,
     },
+    /// The C-header exporter writes a chain: convolutions, each reading
+    /// the previous tensor, then the global average pool and the
+    /// classifier head. This node falls outside that shape (a residual
+    /// add, a skip connection, or an op out of place), so the header
+    /// would silently drop it; export is refused instead.
+    UnsupportedExport {
+        /// Schedule index of the first node the chain header cannot
+        /// express.
+        index: usize,
+        /// That node's name.
+        node: String,
+    },
 }
 
 impl fmt::Display for MixQError {
@@ -114,6 +126,10 @@ impl fmt::Display for MixQError {
                 f,
                 "static verification of `{graph}` failed with {violations} violation(s); first: {first}"
             ),
+            MixQError::UnsupportedExport { index, node } => write!(
+                f,
+                "node {index} (`{node}`) is not expressible in the chain C header (residual adds and skip wiring are not exported)"
+            ),
         }
     }
 }
@@ -153,5 +169,10 @@ mod tests {
         };
         assert!(l.to_string().contains("63") && l.to_string().contains("64"));
         assert!(MixQError::EmptyBatch.to_string().contains("zero items"));
+        let x = MixQError::UnsupportedExport {
+            index: 7,
+            node: "add1".into(),
+        };
+        assert!(x.to_string().contains("node 7") && x.to_string().contains("add1"));
     }
 }

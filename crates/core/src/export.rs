@@ -7,15 +7,25 @@
 
 use std::fmt::Write as _;
 
-use mixq_kernels::{Requantizer, WeightOffset};
+use mixq_kernels::{OpKind, QOp, Requantizer, WeightOffset};
 
 use crate::convert::IntNetwork;
+use crate::MixQError;
 
-/// Renders the network as a self-contained C header.
+/// Renders a chain network as a self-contained C header.
 ///
-/// The emitted arrays account for exactly [`IntNetwork::flash_bytes`] of
-/// read-only data (checked in tests), so the header is also a ground-truth
-/// artifact for the memory model.
+/// The header describes a chain: the convolution layers in order, each
+/// reading the previous layer's output, then the global average pool and
+/// the classifier head. The emitted arrays account for exactly
+/// [`IntNetwork::flash_bytes`] of read-only data (checked in tests), so the
+/// header is also a ground-truth artifact for the memory model.
+///
+/// # Errors
+///
+/// [`MixQError::UnsupportedExport`] names the first graph node the chain
+/// cannot express — a residual `QAdd`, a convolution reading a skip
+/// tensor, or an op out of place — instead of emitting a header that
+/// silently drops it.
 ///
 /// # Examples
 ///
@@ -24,11 +34,12 @@ use crate::convert::IntNetwork;
 /// # fn get_network() -> IntNetwork { unimplemented!() }
 /// use mixq_core::export::emit_c_header;
 /// let net = get_network();
-/// let header = emit_c_header(&net, "my_model");
+/// let header = emit_c_header(&net, "my_model")?;
 /// std::fs::write("my_model.h", header)?;
-/// # Ok::<(), std::io::Error>(())
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn emit_c_header(net: &IntNetwork, name: &str) -> String {
+pub fn emit_c_header(net: &IntNetwork, name: &str) -> Result<String, MixQError> {
+    check_chain(net)?;
     let mut out = String::new();
     let guard = format!("{}_H", name.to_uppercase());
     let _ = writeln!(out, "/* Generated by mixq — integer-only deployment model.");
@@ -128,7 +139,30 @@ pub fn emit_c_header(net: &IntNetwork, name: &str) -> String {
         lin.out_features()
     );
     let _ = writeln!(out, "#endif /* {guard} */");
-    out
+    Ok(out)
+}
+
+/// Checks that the graph is the chain the header describes: convolutions,
+/// then the pool, then the head, each node reading the tensor its
+/// predecessor produced.
+fn check_chain(net: &IntNetwork) -> Result<(), MixQError> {
+    let nodes = net.graph().nodes();
+    let n = nodes.len();
+    for (i, node) in nodes.iter().enumerate() {
+        let in_place = match node.op().kind() {
+            OpKind::Conv | OpKind::DepthwiseConv => i + 2 < n,
+            OpKind::Pool => i + 2 == n,
+            OpKind::Linear => i + 1 == n,
+            OpKind::Add => false,
+        };
+        if !in_place || node.inputs() != [i] {
+            return Err(MixQError::UnsupportedExport {
+                index: i,
+                node: node.name().to_string(),
+            });
+        }
+    }
+    Ok(())
 }
 
 fn emit_requant(out: &mut String, name: &str, i: usize, requant: &Requantizer) {
@@ -240,7 +274,7 @@ mod tests {
     #[test]
     fn header_contains_expected_symbols() {
         let net = tiny_int_network(QuantScheme::PerChannelIcn);
-        let h = emit_c_header(&net, "demo");
+        let h = emit_c_header(&net, "demo").unwrap();
         assert!(h.contains("#ifndef DEMO_H"));
         assert!(h.contains("static const uint8_t demo_l0_weights["));
         assert!(h.contains("static const uint8_t demo_l0_zx ="));
@@ -264,7 +298,7 @@ mod tests {
     #[test]
     fn thresholds_scheme_emits_tables() {
         let net = tiny_int_network(QuantScheme::PerChannelThresholds);
-        let h = emit_c_header(&net, "thr");
+        let h = emit_c_header(&net, "thr").unwrap();
         assert!(h.contains("thr_l0_thr["));
         assert!(h.contains("thr_l0_thr_per_ch"));
         assert!(!h.contains("thr_l0_m0"), "thresholds replace M0/N0");
@@ -273,7 +307,7 @@ mod tests {
     #[test]
     fn folded_scheme_emits_scalar_multiplier() {
         let net = tiny_int_network(QuantScheme::PerLayerFolded);
-        let h = emit_c_header(&net, "fb");
+        let h = emit_c_header(&net, "fb").unwrap();
         assert!(h.contains("static const int32_t fb_l0_m0 ="));
         assert!(h.contains("static const int8_t fb_l0_n0 ="));
         assert!(h.contains("static const uint8_t fb_l0_zw ="));
@@ -282,7 +316,7 @@ mod tests {
     #[test]
     fn weight_array_lengths_match_flash_accounting() {
         let net = tiny_int_network(QuantScheme::PerChannelIcn);
-        let h = emit_c_header(&net, "m");
+        let h = emit_c_header(&net, "m").unwrap();
         // The first weight array's declared length equals the packed bytes.
         let expected = net.layers()[0].weights().byte_len();
         assert!(h.contains(&format!("m_l0_weights[{expected}]")));

@@ -30,12 +30,12 @@
 //!   im2col matrix *is* the input in NHWC order, so the expansion is a
 //!   borrow of the packed bytes (8-bit input) or one linear unpack
 //!   (sub-byte) instead of a per-element gather;
-//! * **intra-walk row parallelism** — with a
-//!   [`ThreadPool`] on the arena, the `rows × c_o`
-//!   output splits into contiguous im2col-row blocks, one per worker
-//!   (disjoint output ranges and disjoint accumulator scratch, identical
-//!   per-row arithmetic → the merge is a concatenation and the result
-//!   byte-identical for any worker count).
+//! * **intra-walk row parallelism** — with a [`ThreadPool`] on the
+//!   arena, the im2col gather and the `rows × c_o` output split into
+//!   contiguous row blocks through `split_rows`, the split every kernel
+//!   shares (disjoint output ranges and disjoint accumulator scratch,
+//!   identical per-row arithmetic → the merge is a concatenation and the
+//!   result byte-identical for any worker count).
 //!
 //! The abstract [`OpCounts`] ledger charges the GEMM dataflow's
 //! mathematical work (every padded MAC, one load per gathered element);
@@ -43,13 +43,12 @@
 //! difference from the direct loop, and host SIMD or worker threads never
 //! change modeled cycles.
 
-use std::sync::Mutex;
-
 use mixq_tensor::Shape;
 
+use crate::conv::pixels_from;
 use crate::simd::requant::RequantPlan;
 use crate::simd::{self, SimdLevel, MAX_DOT_LEN};
-use crate::threadpool::{partition_bounds, ThreadPool, MAX_POOL_THREADS};
+use crate::threadpool::{split_rows, ThreadPool};
 use crate::{OpCounts, QActivation, QConv2d, Requantizer};
 
 /// The prepacked operand of the blocked GEMM: the layer's decoded u8
@@ -226,26 +225,20 @@ impl QConv2d {
     /// CMSIS-NN's im2col kernels use so the GEMM inner loop stays
     /// branch-free.
     ///
+    /// A sub-byte input is decoded once (SIMD unpack) into the slack of
+    /// `data` first, so every valid tap copies one contiguous channel
+    /// span — the same bytes and the same abstract ledger (`unpacks`
+    /// still charges the per-element model the microcontroller would
+    /// pay). With a [`ThreadPool`], the rows — independent gathers into
+    /// disjoint `k`-byte stripes — split across the workers through
+    /// `split_rows`; the bytes and the load tally don't depend on the
+    /// split.
+    ///
     /// # Panics
     ///
     /// Panics on depthwise layers (CMSIS-NN lowers those directly) or on a
     /// channel mismatch.
     pub fn im2col_into(
-        &self,
-        x: &QActivation,
-        data: &mut Vec<u8>,
-        ops: &mut OpCounts,
-    ) -> (usize, usize) {
-        self.im2col_into_pooled(x, data, None, ops)
-    }
-
-    /// [`QConv2d::im2col_into`] with an optional [`ThreadPool`]: the
-    /// expansion's rows are independent gathers into disjoint `k`-byte
-    /// stripes of the buffer, so they split into contiguous row blocks
-    /// across the workers. Bit-identical for any worker count (each row's
-    /// bytes, and the load tally summed over disjoint row ranges, don't
-    /// depend on the split).
-    pub(crate) fn im2col_into_pooled(
         &self,
         x: &QActivation,
         data: &mut Vec<u8>,
@@ -261,76 +254,50 @@ impl QConv2d {
         let out_shape = self.output_shape(in_shape);
         let k = self.geometry().kernel_area() * in_shape.c;
         let rows = out_shape.pixels() * out_shape.n;
+        let staged = if x.needs_unpack() {
+            in_shape.volume()
+        } else {
+            0
+        };
         data.clear();
-        data.resize(rows * k, 0);
-        let threads = pool.map_or(1, ThreadPool::threads);
-        // One code per byte already? Then every valid tap is a straight
-        // `memcpy` from the input bytes on every path.
-        let direct: Option<&[u8]> = (!x.needs_unpack()).then(|| x.as_bytes());
-        let mut loads = 0u64;
-        let mut split = false;
-        if threads > 1 && rows >= 2 {
-            let mut row_bounds = [0usize; MAX_POOL_THREADS + 1];
-            let parts = partition_bounds(rows, threads, &mut row_bounds);
-            if parts > 1 {
-                let mut byte_bounds = [0usize; MAX_POOL_THREADS + 1];
-                for (b, r) in byte_bounds.iter_mut().zip(&row_bounds).take(parts + 1) {
-                    *b = r * k;
-                }
-                let merged = Mutex::new(0u64);
-                pool.expect("threads > 1 implies a pool").broadcast_slices(
-                    data.as_mut_slice(),
-                    &byte_bounds[..=parts],
-                    |w, chunk| {
-                        let local = self.im2col_rows(x, out_shape, row_bounds[w], chunk, direct);
-                        *merged.lock().unwrap() += local;
-                    },
-                );
-                loads = merged.into_inner().unwrap();
-                split = true;
-            }
-        }
-        if !split {
-            if direct.is_none() {
-                // Serial sub-byte staging: decode the whole input once
-                // (SIMD unpack) into the slack of the scratch buffer, then
-                // gather rows from the flat decode instead of extracting
-                // bits per element. Same bytes and the same abstract
-                // ledger — `unpacks` still charges the per-element model
-                // the microcontroller would pay.
-                let vol = in_shape.volume();
-                data.resize(rows * k + vol, 0);
-                let (head, tail) = data.split_at_mut(rows * k);
-                x.unpack_into(&mut tail[..vol]);
-                loads = self.im2col_rows(x, out_shape, 0, head, Some(&tail[..vol]));
-                data.truncate(rows * k);
-            } else {
-                loads = self.im2col_rows(x, out_shape, 0, data.as_mut_slice(), direct);
-            }
-        }
-        ops.act_loads += loads;
+        data.resize(rows * k + staged, 0);
+        let (matrix, slack) = data.split_at_mut(rows * k);
+        let flat: &[u8] = if x.needs_unpack() {
+            x.unpack_into(slack);
+            slack
+        } else {
+            x.as_bytes()
+        };
+        let tally = split_rows(
+            pool,
+            rows,
+            matrix,
+            &mut Vec::new(),
+            0,
+            ops,
+            |lo, _, chunk, _, tally| {
+                tally.act_loads += self.im2col_rows(x, out_shape, lo, chunk, flat);
+            },
+        );
         if x.needs_unpack() {
-            ops.unpacks += loads;
+            ops.unpacks += tally.act_loads;
         }
+        data.truncate(rows * k);
         (rows, k)
     }
 
     /// Gathers the im2col rows starting at `r_lo` into `out` (whose
-    /// length picks the row count) and returns the non-padded load tally
-    /// — the shared core of the serial and row-parallel expansions.
-    ///
-    /// `flat`, when given, holds the input codes decoded to one per byte
-    /// in NHWC order (either the 8-bit tensor's own bytes or a staged
-    /// sub-byte decode): each valid tap then copies one contiguous channel
-    /// span instead of extracting elements one by one. Padded taps fill
-    /// with `Zx`. Same bytes and load tally either way.
+    /// length picks the row count) and returns the non-padded load tally.
+    /// `flat` holds the input codes one per byte in NHWC order (the 8-bit
+    /// tensor's own bytes or a staged sub-byte decode): each valid tap
+    /// copies one contiguous channel span; padded taps fill with `Zx`.
     fn im2col_rows(
         &self,
         x: &QActivation,
         out_shape: Shape,
         r_lo: usize,
         out: &mut [u8],
-        flat: Option<&[u8]>,
+        flat: &[u8],
     ) -> u64 {
         let in_shape = x.shape();
         let g = self.geometry();
@@ -339,11 +306,7 @@ impl QConv2d {
         let c = in_shape.c;
         let zx = x.zero_point();
         let mut loads = 0u64;
-        for (rr, row_out) in out.chunks_exact_mut(k).enumerate() {
-            let row = r_lo + rr;
-            let ox = row % out_shape.w;
-            let oy = (row / out_shape.w) % out_shape.h;
-            let n = row / (out_shape.w * out_shape.h);
+        for (row_out, (n, oy, ox)) in out.chunks_exact_mut(k).zip(pixels_from(out_shape, r_lo)) {
             let mut col = 0usize;
             for ky in 0..g.kh {
                 let iy = (oy * g.stride + ky) as isize - pt as isize;
@@ -355,15 +318,8 @@ impl QConv2d {
                         span.fill(zx);
                     } else {
                         loads += c as u64;
-                        if let Some(xb) = flat {
-                            let base =
-                                ((n * in_shape.h + iy as usize) * in_shape.w + ix as usize) * c;
-                            span.copy_from_slice(&xb[base..base + c]);
-                        } else {
-                            for (ci, o) in span.iter_mut().enumerate() {
-                                *o = x.get(n, iy as usize, ix as usize, ci);
-                            }
-                        }
+                        let base = ((n * in_shape.h + iy as usize) * in_shape.w + ix as usize) * c;
+                        span.copy_from_slice(&flat[base..base + c]);
                     }
                     col += c;
                 }
@@ -383,19 +339,19 @@ impl QConv2d {
     /// [`KernelChoice::BlockedGemm`](crate::KernelChoice::BlockedGemm).
     ///
     /// With a [`ThreadPool`], the im2col expansion and the `rows × c_o`
-    /// output split into contiguous row blocks, one per worker, inside
-    /// this single node execution. Worker counts (including none) are
-    /// bit-identical: every row's arithmetic is the serial GEMV's, rows are
-    /// disjoint, each worker owns a disjoint `2·c_o` slice of
-    /// `acc_scratch`, and the shared ledger is a sum of per-worker counts
-    /// over disjoint ranges.
+    /// output split into contiguous row blocks through `split_rows`,
+    /// one per worker, inside this single node execution. Worker counts
+    /// (including none) are bit-identical: every row's arithmetic is the
+    /// serial GEMV's, rows are disjoint, each worker owns a disjoint
+    /// `2·c_o` slice of `acc_scratch`, and the shared ledger is a sum of
+    /// per-worker counts over disjoint ranges.
     ///
     /// # Panics
     ///
     /// Panics on depthwise layers, on an input channel mismatch, or if the
     /// panels were built for a different patch length or channel count.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn execute_blocked_prepacked_pooled(
+    pub(crate) fn execute_blocked(
         &self,
         panels: &PackedPanels,
         x: &QActivation,
@@ -443,7 +399,7 @@ impl QConv2d {
             x.codes_into(data_scratch);
             data_scratch
         } else {
-            self.im2col_into_pooled(x, data_scratch, pool, ops);
+            self.im2col_into(x, data_scratch, pool, ops);
             data_scratch
         };
         // Per-walk setup (not per-row): this is the last gate before the
@@ -456,83 +412,33 @@ impl QConv2d {
         let requant = self.requant();
         let plan = self.plan();
         let level = simd::active_level();
-
-        // Contiguous row blocks, one per worker; each worker owns the
-        // matching disjoint range of `out_codes` plus its own `2·c_o`
-        // accumulator slice and runs the identical serial GEMV over them.
-        let threads = pool.map_or(1, ThreadPool::threads);
-        let mut split = false;
-        if threads > 1 && rows >= 2 {
-            let mut row_bounds = [0usize; MAX_POOL_THREADS + 1];
-            let parts = partition_bounds(rows, threads, &mut row_bounds);
-            if parts > 1 {
-                let mut byte_bounds = [0usize; MAX_POOL_THREADS + 1];
-                let mut acc_bounds = [0usize; MAX_POOL_THREADS + 1];
-                for (i, (b, r)) in byte_bounds
-                    .iter_mut()
-                    .zip(&row_bounds)
-                    .enumerate()
-                    .take(parts + 1)
-                {
-                    *b = r * co_n;
-                    acc_bounds[i] = i * 2 * co_n;
-                }
-                acc_scratch.clear();
-                acc_scratch.resize(parts * 2 * co_n, 0);
-                // Requant/threshold tallies are data-dependent: each
-                // worker counts locally and merges once at the end (sums
-                // over disjoint rows commute — ledger stays deterministic).
-                let merged = Mutex::new((0u64, 0u64));
-                pool.expect("threads > 1 implies a pool").broadcast_slices2(
-                    out_codes.as_mut_slice(),
-                    &byte_bounds[..=parts],
-                    acc_scratch.as_mut_slice(),
-                    &acc_bounds[..=parts],
-                    |w, chunk, acc| {
-                        let (mut rq, mut tc) = (0u64, 0u64);
-                        blocked_rows(
-                            requant,
-                            plan,
-                            panels,
-                            data,
-                            zx,
-                            level,
-                            row_bounds[w],
-                            row_bounds[w + 1],
-                            chunk,
-                            acc,
-                            &mut rq,
-                            &mut tc,
-                        );
-                        let mut m = merged.lock().unwrap();
-                        m.0 += rq;
-                        m.1 += tc;
-                    },
+        // Each row block runs the serial GEMV over its own output rows and
+        // its own `2·c_o` accumulator slice; requant/threshold tallies are
+        // data-dependent, so each block counts locally.
+        split_rows(
+            pool,
+            rows,
+            out_codes,
+            acc_scratch,
+            2 * co_n,
+            ops,
+            |lo, hi, out, acc, tally| {
+                blocked_rows(
+                    requant,
+                    plan,
+                    panels,
+                    data,
+                    zx,
+                    level,
+                    lo,
+                    hi,
+                    out,
+                    acc,
+                    &mut tally.requants,
+                    &mut tally.threshold_cmps,
                 );
-                let (rq, tc) = merged.into_inner().unwrap();
-                ops.requants += rq;
-                ops.threshold_cmps += tc;
-                split = true;
-            }
-        }
-        if !split {
-            acc_scratch.clear();
-            acc_scratch.resize(2 * co_n, 0);
-            blocked_rows(
-                requant,
-                plan,
-                panels,
-                data,
-                zx,
-                level,
-                0,
-                rows,
-                out_codes.as_mut_slice(),
-                acc_scratch.as_mut_slice(),
-                &mut ops.requants,
-                &mut ops.threshold_cmps,
-            );
-        }
+            },
+        );
 
         // The GEMM dataflow's abstract ledger: every padded MAC of the
         // `rows × k × c_o` product (the im2col loads were charged above).
@@ -557,9 +463,9 @@ pub fn im2col_scratch_bytes(conv: &QConv2d, input: Shape) -> usize {
     out.pixels() * out.n * k
 }
 
-/// The dual-row GEMV sweep over im2col rows `[r_lo, r_hi)`: the shared
-/// core of the serial and row-parallel blocked paths (structural
-/// bit-identity — both run exactly this). `out` holds the rows' output
+/// The dual-row GEMV sweep over im2col rows `[r_lo, r_hi)`: the row core
+/// `split_rows` runs serially or per worker (structural bit-identity —
+/// both run exactly this). `out` holds the rows' output
 /// range, starting at row `r_lo`; `acc` is the caller's `2·c_o`
 /// accumulator scratch. Row pairing never crosses the range boundary, so
 /// any contiguous split reproduces the full-range codes.
@@ -585,7 +491,7 @@ fn blocked_rows(
     // Hot per-block path: these stay `debug_assert` because both lengths
     // are established on the cold setup path above (the hard
     // `data.len() == rows * k` / `rows.len() == co_n * k` asserts in
-    // `execute_blocked_prepacked_pooled` and `prepack_panels`) and by the
+    // `execute_blocked` and `prepack_panels`) and by the
     // caller-side slice partitioning; `mixq-verify` re-checks the same
     // geometry statically per graph (`check_dot_geometry`).
     debug_assert_eq!(out.len(), (r_hi - r_lo) * co_n);
@@ -881,7 +787,7 @@ mod tests {
         let conv = make_conv(2, 3, 3, 2, BitWidth::W8, false);
         let x = make_input(8, 8, 3, BitWidth::W8, 5);
         let mut data = Vec::new();
-        let (rows, k) = conv.im2col_into(&x, &mut data, &mut OpCounts::default());
+        let (rows, k) = conv.im2col_into(&x, &mut data, None, &mut OpCounts::default());
         assert_eq!((rows, k), (4 * 4, 9 * 3));
         assert_eq!(data.len(), 16 * 27);
         assert_eq!(im2col_scratch_bytes(&conv, x.shape()), 16 * 27);
@@ -893,7 +799,7 @@ mod tests {
         let conv = make_conv(1, 1, 3, 1, BitWidth::W8, false);
         let x = QActivation::from_codes(Shape::feature_map(1, 1, 1), &[9], BitWidth::W8, 7);
         let mut row = Vec::new();
-        conv.im2col_into(&x, &mut row, &mut OpCounts::default());
+        conv.im2col_into(&x, &mut row, None, &mut OpCounts::default());
         assert_eq!(row.len(), 9);
         assert_eq!(row[4], 9, "centre tap is the real value");
         for (i, &v) in row.iter().enumerate() {
@@ -914,7 +820,7 @@ mod tests {
         let panels = conv.prepack_panels();
         let mut hot = Vec::new();
         let mut ops = OpCounts::default();
-        let shape = conv.execute_blocked_prepacked_pooled(
+        let shape = conv.execute_blocked(
             &panels,
             &x,
             &mut Vec::new(),
@@ -929,7 +835,7 @@ mod tests {
         // Rebuild the im2col matrix the hot path consumed.
         let mut data = Vec::new();
         let mut scratch_ops = OpCounts::default();
-        conv.im2col_into_pooled(&x, &mut data, None, &mut scratch_ops);
+        conv.im2col_into(&x, &mut data, None, &mut scratch_ops);
         blocked_rows_long(
             conv.requant(),
             conv.plan(),
@@ -955,7 +861,7 @@ mod tests {
         let panels = conv.prepack_panels();
         let mut serial_codes = Vec::new();
         let mut serial_ops = OpCounts::default();
-        conv.execute_blocked_prepacked_pooled(
+        conv.execute_blocked(
             &panels,
             &x,
             &mut Vec::new(),
@@ -969,7 +875,7 @@ mod tests {
             let mut codes = Vec::new();
             let mut acc = Vec::new();
             let mut ops = OpCounts::default();
-            conv.execute_blocked_prepacked_pooled(
+            conv.execute_blocked(
                 &panels,
                 &x,
                 &mut Vec::new(),
@@ -1004,6 +910,6 @@ mod tests {
             ),
         );
         let x = make_input(4, 4, 2, BitWidth::W8, 0);
-        conv.im2col_into(&x, &mut Vec::new(), &mut OpCounts::default());
+        conv.im2col_into(&x, &mut Vec::new(), None, &mut OpCounts::default());
     }
 }

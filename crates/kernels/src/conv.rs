@@ -1,9 +1,7 @@
-use std::sync::Mutex;
-
 use mixq_tensor::{ConvGeometry, Shape};
 
 use crate::simd::{self, requant::RequantPlan};
-use crate::threadpool::{partition_bounds, ThreadPool, MAX_POOL_THREADS};
+use crate::threadpool::{split_rows, ThreadPool};
 use crate::{OpCounts, QActivation, QConvWeights, Requantizer};
 
 /// An integer-only quantized convolution layer: packed weights, geometry and
@@ -113,7 +111,7 @@ impl QConv2d {
     /// Panics if the input channel count disagrees with the weights.
     pub fn execute(&self, x: &QActivation, ops: &mut OpCounts) -> QActivation {
         let mut codes = Vec::new();
-        let out_shape = self.run_direct(None, x, &mut codes, &mut Vec::new(), None, ops);
+        let out_shape = self.run_direct(None, x, &mut codes, None, ops);
         QActivation::from_codes(
             out_shape,
             &codes,
@@ -146,29 +144,27 @@ impl QConv2d {
     ///
     /// `wcodes`, when given, holds the weight codes decoded to one per
     /// byte in `(c_o, k_h, k_w, c_i)` order, so no kernel extracts
-    /// sub-byte weights per read. With a [`ThreadPool`], the output
-    /// channels split across workers (see [`QConv2d::run_channels`]).
-    /// Every path is bit-identical to [`QConv2d::execute`], including the
-    /// abstract [`OpCounts`] ledger (which keeps pricing the deployed
-    /// packed reads, not the host caches).
+    /// sub-byte weights per read. With a [`ThreadPool`], the output rows
+    /// split across workers (see [`QConv2d::run_rows`]). Every path is
+    /// bit-identical to [`QConv2d::execute`], including the abstract
+    /// [`OpCounts`] ledger (which keeps pricing the deployed packed reads,
+    /// not the host caches).
     ///
     /// # Panics
     ///
     /// Panics if the input channel count disagrees with the weights, or if
     /// `wcodes` has the wrong length.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn execute_codes_pooled(
+    pub(crate) fn execute_direct(
         &self,
         wcodes: Option<&[u8]>,
         x: &QActivation,
         out_codes: &mut Vec<u8>,
-        plane_scratch: &mut Vec<u8>,
         stage: &mut Vec<u8>,
         pool: Option<&ThreadPool>,
         ops: &mut OpCounts,
     ) -> Shape {
         if !self.runs_dw_taps() {
-            return self.run_direct(wcodes, x, out_codes, plane_scratch, pool, ops);
+            return self.run_direct(wcodes, x, out_codes, pool, ops);
         }
         let wslice = self.weight_view(wcodes);
         let xb: &[u8] = if x.needs_unpack() {
@@ -177,17 +173,10 @@ impl QConv2d {
         } else {
             x.as_bytes()
         };
-        self.run_channels(
-            x,
-            out_codes,
-            plane_scratch,
-            pool,
-            ops,
-            |lo, hi, plane, out, rq, tc| {
-                let wget = |i: usize| wslice.map_or_else(|| self.weights.code_at(i), |w| w[i]);
-                self.depthwise_taps(wget, x, xb, lo, hi, plane, out, rq, tc)
-            },
-        )
+        self.run_rows(x, out_codes, pool, ops, |lo, out, tally| {
+            let wget = |i: usize| wslice.map_or_else(|| self.weights.code_at(i), |w| w[i]);
+            self.depthwise_taps(wget, x, xb, lo, out, tally);
+        })
     }
 
     /// The weight codes one per byte, when available without decoding:
@@ -203,132 +192,67 @@ impl QConv2d {
         wcodes.or_else(|| (!self.weights.needs_unpack()).then(|| self.weights.as_bytes()))
     }
 
-    /// The direct loop ([`QConv2d::direct_channels`]) over every output
-    /// channel, reading weights through [`QConv2d::weight_view`] or, when
-    /// there is none, by packed extraction.
+    /// The direct loop ([`QConv2d::direct_rows`]) over every output row,
+    /// reading weights through [`QConv2d::weight_view`] or, when there is
+    /// none, by packed extraction.
     fn run_direct(
         &self,
         wcodes: Option<&[u8]>,
         x: &QActivation,
         out_codes: &mut Vec<u8>,
-        plane_scratch: &mut Vec<u8>,
         pool: Option<&ThreadPool>,
         ops: &mut OpCounts,
     ) -> Shape {
         match self.weight_view(wcodes) {
-            Some(w) => self.run_channels(
-                x,
-                out_codes,
-                plane_scratch,
-                pool,
-                ops,
-                |lo, hi, plane, out, rq, tc| {
-                    self.direct_channels(x, lo, hi, plane, out, rq, tc, |i| w[i])
-                },
-            ),
-            None => self.run_channels(
-                x,
-                out_codes,
-                plane_scratch,
-                pool,
-                ops,
-                |lo, hi, plane, out, rq, tc| {
-                    self.direct_channels(x, lo, hi, plane, out, rq, tc, |i| self.weights.code_at(i))
-                },
-            ),
+            Some(w) => self.run_rows(x, out_codes, pool, ops, |lo, out, tally| {
+                self.direct_rows(x, lo, out, tally, |i| w[i]);
+            }),
+            None => self.run_rows(x, out_codes, pool, ops, |lo, out, tally| {
+                self.direct_rows(x, lo, out, tally, |i| self.weights.code_at(i));
+            }),
         }
     }
 
-    /// Runs a channel-range kernel `core(co_lo, co_hi, plane, out,
-    /// requants, threshold_cmps) -> macs` over every output channel and
-    /// charges the direct-kernel ledger. Serially, `core` writes
-    /// NHWC-interleaved codes straight into `out_codes`. With a
-    /// [`ThreadPool`], the output channels split into contiguous blocks,
-    /// one per worker — the direct-kernel half of the intra-walk
-    /// parallelism (the GEMM kernels split im2col rows instead).
-    /// Channel-interleaved NHWC output makes a worker's writes strided,
-    /// so each worker writes its channel block as contiguous planes into
-    /// `plane_scratch` (drawn from the arena's auxiliary buffer) and a
-    /// serial pass re-interleaves — a host-side staging copy, charged
-    /// nowhere. Bit-identical for any worker count: per-output arithmetic
-    /// is unchanged and the data-dependent ledger tallies sum over
-    /// disjoint channel ranges.
-    fn run_channels<F>(
+    /// Runs a row kernel `core(lo, out, tally)` over every output row
+    /// (output pixel × batch) through `split_rows` and charges the
+    /// direct-kernel ledger. `core` writes the NHWC output rows from row
+    /// `lo` on — all channels of each pixel — into `out` (whose length
+    /// picks the row count) and counts its MACs, requantizations and
+    /// threshold comparisons into `tally`.
+    fn run_rows<F>(
         &self,
         x: &QActivation,
         out_codes: &mut Vec<u8>,
-        plane_scratch: &mut Vec<u8>,
         pool: Option<&ThreadPool>,
         ops: &mut OpCounts,
         core: F,
     ) -> Shape
     where
-        F: Fn(usize, usize, bool, &mut [u8], &mut u64, &mut u64) -> u64 + Sync,
+        F: Fn(usize, &mut [u8], &mut OpCounts) + Sync,
     {
         let out_shape = self.output_shape(x.shape());
-        let c = out_shape.c;
-        let volume = out_shape.volume();
-        let threads = pool.map_or(1, ThreadPool::threads);
-        let mut chan_bounds = [0usize; MAX_POOL_THREADS + 1];
-        let parts = if threads > 1 && c >= 2 {
-            partition_bounds(c, threads, &mut chan_bounds)
-        } else {
-            1
-        };
         out_codes.clear();
-        out_codes.resize(volume, 0);
-        let macs = if parts <= 1 {
-            core(
-                0,
-                c,
-                false,
-                out_codes,
-                &mut ops.requants,
-                &mut ops.threshold_cmps,
-            )
-        } else {
-            let npix = volume / c;
-            plane_scratch.clear();
-            plane_scratch.resize(volume, 0);
-            let mut byte_bounds = [0usize; MAX_POOL_THREADS + 1];
-            for (b, ch) in byte_bounds.iter_mut().zip(&chan_bounds).take(parts + 1) {
-                *b = ch * npix;
-            }
-            let merged = Mutex::new((0u64, 0u64, 0u64));
-            pool.expect("parts > 1 implies a pool").broadcast_slices(
-                plane_scratch.as_mut_slice(),
-                &byte_bounds[..=parts],
-                |worker, chunk| {
-                    let (lo, hi) = (chan_bounds[worker], chan_bounds[worker + 1]);
-                    let (mut rq, mut tc) = (0u64, 0u64);
-                    let macs = core(lo, hi, true, chunk, &mut rq, &mut tc);
-                    let mut m = merged.lock().unwrap();
-                    m.0 += macs;
-                    m.1 += rq;
-                    m.2 += tc;
-                },
-            );
-            // Serial re-interleave of the channel planes into NHWC order.
-            for co in 0..c {
-                let plane = &plane_scratch[co * npix..(co + 1) * npix];
-                for (pix, &v) in plane.iter().enumerate() {
-                    out_codes[pix * c + co] = v;
-                }
-            }
-            let (macs, rq, tc) = merged.into_inner().unwrap();
-            ops.requants += rq;
-            ops.threshold_cmps += tc;
-            macs
-        };
-        self.charge_direct_ledger(x, out_shape, macs, ops);
+        out_codes.resize(out_shape.volume(), 0);
+        let rows = out_shape.pixels() * out_shape.n;
+        let tally = split_rows(
+            pool,
+            rows,
+            out_codes,
+            &mut Vec::new(),
+            0,
+            ops,
+            |lo, _, out, _, tally| core(lo, out, tally),
+        );
+        self.charge_direct_ledger(x, out_shape, tally.macs, ops);
         out_shape
     }
 
-    /// The shared tail-ledger of every direct-kernel path: per-MAC loads
-    /// and unpack charges are proportional to the MAC tally, so serial
-    /// and channel-split executions, and the depthwise tap kernel, charge
-    /// identically (its staged sub-byte input still charges one unpack
-    /// per MAC, as the deployed kernel reads packed codes).
+    /// The shared tail-ledger of every direct-kernel path (the row cores
+    /// already counted `macs` itself): per-MAC loads and unpack charges
+    /// are proportional to the MAC tally, so serial and row-split
+    /// executions, and the depthwise tap kernel, charge identically (its
+    /// staged sub-byte input still charges one unpack per MAC, as the
+    /// deployed kernel reads packed codes).
     fn charge_direct_ledger(
         &self,
         x: &QActivation,
@@ -338,7 +262,6 @@ impl QConv2d {
     ) {
         let w_unpack = self.weights.needs_unpack() as u64;
         let x_unpack = x.needs_unpack() as u64;
-        ops.macs += macs;
         ops.act_loads += macs;
         ops.unpacks += (w_unpack + x_unpack) * macs;
         ops.act_stores += out_shape.volume() as u64;
@@ -349,12 +272,11 @@ impl QConv2d {
         }
     }
 
-    /// The depthwise tap kernel over output channels `[co_lo, co_hi)`:
-    /// `xb` holds the input codes one per byte (NHWC), `wget` reads a
-    /// weight code by its `(c_o, k_h, k_w)` index. Writes
-    /// NHWC-interleaved codes (`plane == false`, full channel range) or
-    /// contiguous per-channel planes relative to `co_lo` (`plane ==
-    /// true`, the worker layout). Returns the MAC tally.
+    /// The depthwise tap kernel over the output rows from row `lo` on: `xb`
+    /// holds the input codes one per byte (NHWC), `wget` reads a weight
+    /// code by its `(c_o, k_h, k_w)` index, and `out` receives the rows'
+    /// NHWC codes (its length picks the row count). Counts MACs,
+    /// requantizations and threshold comparisons into `tally`.
     ///
     /// Channels are swept in blocks of ≤ `DW_BLOCK` (the NHWC input is
     /// contiguous over them). Per block, the weights are centred once
@@ -366,19 +288,15 @@ impl QConv2d {
     /// a stack buffer and point their padded taps at a row of `zx` codes,
     /// which centres to zero; only valid taps count as MACs. Integer sums
     /// are exact in any order, so this equals the per-MAC reference.
-    #[allow(clippy::too_many_arguments)]
     fn depthwise_taps(
         &self,
         wget: impl Fn(usize) -> u8,
         x: &QActivation,
         xb: &[u8],
-        co_lo: usize,
-        co_hi: usize,
-        plane: bool,
+        lo: usize,
         out: &mut [u8],
-        requants: &mut u64,
-        threshold_cmps: &mut u64,
-    ) -> u64 {
+        tally: &mut OpCounts,
+    ) {
         const DW_BLOCK: usize = 64;
         let in_shape = x.shape();
         assert_eq!(
@@ -396,7 +314,6 @@ impl QConv2d {
         // Taps padded to whole pairs; the pad tap has zero weights.
         let nt = taps.next_multiple_of(2);
         let zx = x.zero_point();
-        let npix = out_shape.pixels() * out_shape.n;
         let interior = |pad: usize, k: usize, len: usize, out_len: usize| {
             let hi = (len + pad)
                 .checked_sub(k)
@@ -415,15 +332,13 @@ impl QConv2d {
             }
         }
         let level = simd::active_level();
-        let mut macs = 0u64;
         let mut wpairs = [0i16; simd::MAX_DW_TAPS * DW_BLOCK];
         let mut edge = [0u8; (simd::MAX_DW_TAPS + 1) * DW_BLOCK];
         let mut edge_offs = [0usize; simd::MAX_DW_TAPS];
         let mut acc = [0i32; DW_BLOCK];
-        let mut codes = [0u8; DW_BLOCK];
-        let mut blk_lo = co_lo;
-        while blk_lo < co_hi {
-            let bn = DW_BLOCK.min(co_hi - blk_lo);
+        let mut blk_lo = 0;
+        while blk_lo < c {
+            let bn = DW_BLOCK.min(c - blk_lo);
             let wp = &mut wpairs[..nt * bn];
             wp.fill(0);
             for j in 0..bn {
@@ -438,97 +353,74 @@ impl QConv2d {
             // Border staging: tap t's row at `t·bn`, the `zx` row after.
             let pad_row = taps * bn;
             edge[pad_row..pad_row + bn].fill(zx);
-            for n in 0..out_shape.n {
-                for oy in 0..out_shape.h {
-                    let row_inside = (oy_lo..oy_hi).contains(&oy);
-                    for ox in 0..out_shape.w {
-                        let valid = if row_inside && (ox_lo..ox_hi).contains(&ox) {
-                            let (iy, ix) = (oy * s - pt, ox * s - pl);
-                            let base = ((n * h + iy) * w + ix) * c + blk_lo;
-                            simd::dw_taps(level, &xb[base..], &inner[..nt], zx, wp, &mut acc[..bn]);
-                            taps
-                        } else {
-                            let mut nv = 0;
-                            edge_offs[..nt].fill(pad_row);
-                            for ky in 0..kh {
-                                let iy = (oy * s + ky) as isize - pt as isize;
-                                if iy < 0 || iy >= h as isize {
-                                    continue;
-                                }
-                                for kx in 0..kw {
-                                    let ix = (ox * s + kx) as isize - pl as isize;
-                                    if ix < 0 || ix >= w as isize {
-                                        continue;
-                                    }
-                                    let t = ky * kw + kx;
-                                    let src =
-                                        ((n * h + iy as usize) * w + ix as usize) * c + blk_lo;
-                                    edge[t * bn..(t + 1) * bn].copy_from_slice(&xb[src..src + bn]);
-                                    edge_offs[t] = t * bn;
-                                    nv += 1;
-                                }
-                            }
-                            simd::dw_taps(
-                                level,
-                                &edge[..pad_row + bn],
-                                &edge_offs[..nt],
-                                zx,
-                                wp,
-                                &mut acc[..bn],
-                            );
-                            nv
-                        };
-                        // Fused vectorized epilogue over the channel
-                        // block (bit-identical to per-element
-                        // `Requantizer::apply`, same ledger totals),
-                        // straight into the interleaved output row.
-                        let pix = (n * out_shape.h + oy) * out_shape.w + ox;
-                        let dst = if plane {
-                            &mut codes[..bn]
-                        } else {
-                            &mut out[pix * c + blk_lo..pix * c + blk_lo + bn]
-                        };
-                        simd::requant::apply_i32_block(
-                            &self.plan,
-                            &self.requant,
-                            level,
-                            blk_lo,
-                            &acc[..bn],
-                            dst,
-                            requants,
-                            threshold_cmps,
-                        );
-                        if plane {
-                            for (j, &code) in codes[..bn].iter().enumerate() {
-                                out[(blk_lo + j - co_lo) * npix + pix] = code;
-                            }
+            for (row, (n, oy, ox)) in out.chunks_exact_mut(c).zip(pixels_from(out_shape, lo)) {
+                let valid = if (oy_lo..oy_hi).contains(&oy) && (ox_lo..ox_hi).contains(&ox) {
+                    let (iy, ix) = (oy * s - pt, ox * s - pl);
+                    let base = ((n * h + iy) * w + ix) * c + blk_lo;
+                    simd::dw_taps(level, &xb[base..], &inner[..nt], zx, wp, &mut acc[..bn]);
+                    taps
+                } else {
+                    let mut nv = 0;
+                    edge_offs[..nt].fill(pad_row);
+                    for ky in 0..kh {
+                        let iy = (oy * s + ky) as isize - pt as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
                         }
-                        macs += (valid * bn) as u64;
+                        for kx in 0..kw {
+                            let ix = (ox * s + kx) as isize - pl as isize;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            let t = ky * kw + kx;
+                            let src = ((n * h + iy as usize) * w + ix as usize) * c + blk_lo;
+                            edge[t * bn..(t + 1) * bn].copy_from_slice(&xb[src..src + bn]);
+                            edge_offs[t] = t * bn;
+                            nv += 1;
+                        }
                     }
-                }
+                    simd::dw_taps(
+                        level,
+                        &edge[..pad_row + bn],
+                        &edge_offs[..nt],
+                        zx,
+                        wp,
+                        &mut acc[..bn],
+                    );
+                    nv
+                };
+                // Fused vectorized epilogue over the channel block
+                // (bit-identical to per-element `Requantizer::apply`, same
+                // ledger totals), straight into the NHWC output row.
+                simd::requant::apply_i32_block(
+                    &self.plan,
+                    &self.requant,
+                    level,
+                    blk_lo,
+                    &acc[..bn],
+                    &mut row[blk_lo..blk_lo + bn],
+                    &mut tally.requants,
+                    &mut tally.threshold_cmps,
+                );
+                tally.macs += (valid * bn) as u64;
             }
             blk_lo += bn;
         }
-        macs
     }
 
-    /// The per-MAC direct-loop core over output channels `[co_lo, co_hi)`,
+    /// The per-MAC direct-loop core over the output rows from row `lo` on,
     /// generic over the weight reader (decoded cache slice vs packed
-    /// extraction), with the same interleaved-vs-plane output convention
-    /// as [`QConv2d::depthwise_taps`]. Returns the MAC tally. It serves
+    /// extraction), writing the rows' NHWC codes into `out` and counting MACs,
+    /// requantizations and threshold comparisons into `tally`. It serves
     /// dense layers and [`QConv2d::execute`], the reference.
-    #[allow(clippy::too_many_arguments)]
-    fn direct_channels(
+    fn direct_rows(
         &self,
         x: &QActivation,
-        co_lo: usize,
-        co_hi: usize,
-        plane: bool,
+        lo: usize,
         out: &mut [u8],
-        requants: &mut u64,
-        threshold_cmps: &mut u64,
+        tally: &mut OpCounts,
         wget: impl Fn(usize) -> u8,
-    ) -> u64 {
+    ) {
         let in_shape = x.shape();
         let depthwise = self.weights.is_depthwise();
         if depthwise {
@@ -546,60 +438,73 @@ impl QConv2d {
         let (kh, kw) = (self.geometry.kh, self.geometry.kw);
         let zx = x.zero_point() as i64;
         let wshape = self.weights.shape();
-        let npix = out_shape.pixels() * out_shape.n;
 
-        let mut macs = 0u64;
-        for n in 0..out_shape.n {
-            for oy in 0..out_shape.h {
-                for ox in 0..out_shape.w {
-                    let pix = (n * out_shape.h + oy) * out_shape.w + ox;
-                    for co in co_lo..co_hi {
-                        let zw = self.weights.offset().at(co) as i64;
-                        let mut acc: i64 = 0;
-                        for ky in 0..kh {
-                            let iy = (oy * s + ky) as isize - pt as isize;
-                            if iy < 0 || iy >= in_shape.h as isize {
-                                continue;
-                            }
-                            for kx in 0..kw {
-                                let ix = (ox * s + kx) as isize - pl as isize;
-                                if ix < 0 || ix >= in_shape.w as isize {
-                                    continue;
-                                }
-                                let (iy, ix) = (iy as usize, ix as usize);
-                                if depthwise {
-                                    let xv = x.get(n, iy, ix, co) as i64;
-                                    let wv = wget(wshape.index(co, ky, kx, 0)) as i64;
-                                    acc += (xv - zx) * (wv - zw);
-                                    macs += 1;
-                                } else {
-                                    for ci in 0..in_shape.c {
-                                        let xv = x.get(n, iy, ix, ci) as i64;
-                                        let wv = wget(wshape.index(co, ky, kx, ci)) as i64;
-                                        acc += (xv - zx) * (wv - zw);
-                                        macs += 1;
-                                    }
-                                }
+        let pixels = out
+            .chunks_exact_mut(out_shape.c)
+            .zip(pixels_from(out_shape, lo));
+        for (row, (n, oy, ox)) in pixels {
+            for (co, code) in row.iter_mut().enumerate() {
+                let zw = self.weights.offset().at(co) as i64;
+                let mut acc: i64 = 0;
+                for ky in 0..kh {
+                    let iy = (oy * s + ky) as isize - pt as isize;
+                    if iy < 0 || iy >= in_shape.h as isize {
+                        continue;
+                    }
+                    for kx in 0..kw {
+                        let ix = (ox * s + kx) as isize - pl as isize;
+                        if ix < 0 || ix >= in_shape.w as isize {
+                            continue;
+                        }
+                        let (iy, ix) = (iy as usize, ix as usize);
+                        if depthwise {
+                            let xv = x.get(n, iy, ix, co) as i64;
+                            let wv = wget(wshape.index(co, ky, kx, 0)) as i64;
+                            acc += (xv - zx) * (wv - zw);
+                            tally.macs += 1;
+                        } else {
+                            for ci in 0..in_shape.c {
+                                let xv = x.get(n, iy, ix, ci) as i64;
+                                let wv = wget(wshape.index(co, ky, kx, ci)) as i64;
+                                acc += (xv - zx) * (wv - zw);
+                                tally.macs += 1;
                             }
                         }
-                        let code = self.requant.apply(co, acc, requants, threshold_cmps);
-                        let idx = if plane {
-                            (co - co_lo) * npix + pix
-                        } else {
-                            pix * out_shape.c + co
-                        };
-                        out[idx] = code;
                     }
                 }
+                *code = self
+                    .requant
+                    .apply(co, acc, &mut tally.requants, &mut tally.threshold_cmps);
             }
         }
-        macs
     }
 
     /// Output zero-point of the layer as an activation code.
     pub(crate) fn out_zero_point(&self) -> u8 {
         self.requant.zero_point().clamp(0, 255) as u8
     }
+}
+
+/// The `(n, oy, ox)` coordinates of an NHWC output's pixels from flat
+/// pixel index `lo` on — the row order of every kernel's output and of
+/// the im2col matrix — stepped without a division per pixel. Endless:
+/// callers bound it by the rows they own.
+pub(crate) fn pixels_from(out: Shape, lo: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    let (h, w) = (out.h.max(1), out.w.max(1));
+    let mut at = (lo / (h * w), lo / w % h, lo % w);
+    std::iter::repeat_with(move || {
+        let here = at;
+        at.2 += 1;
+        if at.2 == w {
+            at.2 = 0;
+            at.1 += 1;
+            if at.1 == h {
+                at.1 = 0;
+                at.0 += 1;
+            }
+        }
+        here
+    })
 }
 
 #[cfg(test)]

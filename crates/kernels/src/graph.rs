@@ -318,19 +318,16 @@ impl QOp for QConv2d {
         let mut codes = arena.take_scratch();
         let wcodes = cache.and_then(PrepackedWeights::codes);
         // Clone the pool handle out so the `&mut` buffer takes below stay
-        // disjoint borrows; the intra-node split is described on each
-        // `*_pooled` kernel.
+        // disjoint borrows; every kernel splits its output rows across it
+        // (`threadpool::split_rows`).
         let pool = arena.pool_handle();
         let pool = pool.as_deref();
         let shape = match choice {
             KernelChoice::DirectConv => {
-                let mut aux = arena.take_aux();
                 let mut stage = mem::take(&mut arena.stage);
-                let shape = self.execute_codes_pooled(
-                    wcodes, inputs[0], &mut codes, &mut aux, &mut stage, pool, ops,
-                );
+                let shape =
+                    self.execute_direct(wcodes, inputs[0], &mut codes, &mut stage, pool, ops);
                 arena.stage = stage;
-                arena.put_aux(aux);
                 shape
             }
             KernelChoice::BlockedGemm => {
@@ -344,9 +341,8 @@ impl QOp for QConv2d {
                         &owned
                     }
                 };
-                let shape = self.execute_blocked_prepacked_pooled(
-                    panels, inputs[0], &mut aux, &mut acc, &mut codes, pool, ops,
-                );
+                let shape = self
+                    .execute_blocked(panels, inputs[0], &mut aux, &mut acc, &mut codes, pool, ops);
                 arena.put_acc(acc);
                 arena.put_aux(aux);
                 shape
@@ -908,17 +904,13 @@ impl ActivationArena {
     }
 
     /// Attaches a [`ThreadPool`] so every node executed through this
-    /// arena splits its work across the pool's workers — the intra-walk
-    /// parallelism of [`QGraph::infer_batch`]. The pool is created once
-    /// by the caller and reused across walks (steady state stays
-    /// allocation-free); results are bit-identical with or without one.
+    /// arena splits its output rows across the pool's workers — the
+    /// intra-walk parallelism of [`QGraph::infer_batch`], and the only
+    /// place a pool attaches. The pool is created once by the caller and
+    /// reused across walks (steady state stays allocation-free); results
+    /// are bit-identical with or without one.
     pub fn set_pool(&mut self, pool: Arc<ThreadPool>) {
         self.pool = Some(pool);
-    }
-
-    /// Detaches the worker pool (subsequent walks run serially).
-    pub fn clear_pool(&mut self) {
-        self.pool = None;
     }
 
     /// A handle to the attached worker pool, if any — cloned out so

@@ -47,12 +47,14 @@
 //! | [`SimdLevel::Avx2`] | `punpck{l,h}bw` tap interleave, `vpmovzxbw` + `vpsubw` centring, `vpmaddwd` |
 //! | [`SimdLevel::Neon`] | the portable loop, auto-vectorized at the NEON baseline |
 //!
-//! The level is detected once per process ([`detected_level`]), can be
-//! pinned down with the `MIXQ_FORCE_SCALAR=1` environment variable (CI's
-//! fallback-coverage leg), and can be narrowed programmatically with
-//! [`set_forced`] (the scaling bench measures scalar and SIMD in one
-//! process). Forcing a level the CPU does not support is rejected —
-//! every reachable `unsafe` call is guarded by the detection.
+//! The level is owned by `mixq_quant::simd`, which the sub-byte packing
+//! kernels dispatch on too, and re-exported here unchanged: detected
+//! once per process ([`detected_level`]), pinned down with the
+//! `MIXQ_FORCE_SCALAR=1` environment variable (CI's fallback-coverage
+//! leg), and narrowed programmatically with [`set_forced`] (the scaling
+//! bench measures scalar and SIMD in one process). Forcing a level the
+//! CPU does not support is rejected — every reachable `unsafe` call is
+//! guarded by the detection.
 //!
 //! None of this touches the abstract [`OpCounts`](crate::OpCounts)
 //! ledger: SIMD reorganizes host arithmetic, not the modeled MCU work,
@@ -61,8 +63,7 @@
 
 #![allow(unsafe_code)]
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
+pub use mixq_quant::simd::{active_level, detected_level, set_forced, SimdLevel};
 
 pub mod requant;
 
@@ -78,129 +79,6 @@ pub const MAX_DOT_LEN: usize = 32768;
 /// (`|w − zw| ≤ 2¹⁵`): `32 · 255 · 2¹⁵ < 2²⁸`, and for the `[0, 255]`
 /// zero-points a converted network carries, `≤ MAX_DW_TAPS · 255²`.
 pub const MAX_DW_TAPS: usize = 32;
-
-/// A vector instruction level the GEMV primitives can run at.
-///
-/// Ordered from the always-available scalar fallback up; the enum is
-/// defined on every architecture (so labels, CLI flags and JSON stamps
-/// are portable) while the non-native variants simply fail
-/// [`SimdLevel::available`] and fall back to scalar if dispatched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SimdLevel {
-    /// Portable scalar dual-row channel loop — always available.
-    Scalar,
-    /// x86_64 SSE2: 128-bit `pmaddwd` over zero-extended bytes.
-    Sse2,
-    /// x86_64 AVX2: 256-bit `vpmaddwd` over zero-extended bytes.
-    Avx2,
-    /// aarch64 NEON: `vld2`/`vmull_u8` widening multiply-accumulate.
-    Neon,
-}
-
-impl SimdLevel {
-    /// Stable lowercase label (bench JSON, `--help` text, log lines).
-    pub fn label(self) -> &'static str {
-        match self {
-            SimdLevel::Scalar => "scalar",
-            SimdLevel::Sse2 => "sse2",
-            SimdLevel::Avx2 => "avx2",
-            SimdLevel::Neon => "neon",
-        }
-    }
-
-    /// Whether the *running* CPU can execute this level.
-    pub fn available(self) -> bool {
-        match self {
-            SimdLevel::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse2 => is_x86_feature_detected!("sse2"),
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx2 => is_x86_feature_detected!("avx2"),
-            #[cfg(target_arch = "aarch64")]
-            SimdLevel::Neon => true,
-            #[allow(unreachable_patterns)]
-            _ => false,
-        }
-    }
-
-    fn to_code(self) -> u8 {
-        match self {
-            SimdLevel::Scalar => 1,
-            SimdLevel::Sse2 => 2,
-            SimdLevel::Avx2 => 3,
-            SimdLevel::Neon => 4,
-        }
-    }
-
-    fn from_code(code: u8) -> Option<SimdLevel> {
-        match code {
-            1 => Some(SimdLevel::Scalar),
-            2 => Some(SimdLevel::Sse2),
-            3 => Some(SimdLevel::Avx2),
-            4 => Some(SimdLevel::Neon),
-            _ => None,
-        }
-    }
-}
-
-/// Process-wide programmatic override (0 = none); see [`set_forced`].
-static FORCED: AtomicU8 = AtomicU8::new(0);
-
-static DETECTED: OnceLock<SimdLevel> = OnceLock::new();
-
-/// The level runtime feature detection picked for this process: the
-/// widest available backend, or [`SimdLevel::Scalar`] when the
-/// `MIXQ_FORCE_SCALAR` environment variable is set to anything but `0`
-/// (the escape hatch CI uses to keep the fallback path exercised).
-/// Detected once and cached.
-pub fn detected_level() -> SimdLevel {
-    *DETECTED.get_or_init(|| {
-        let forced_scalar =
-            std::env::var_os("MIXQ_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != "0");
-        if forced_scalar {
-            return SimdLevel::Scalar;
-        }
-        if SimdLevel::Avx2.available() {
-            SimdLevel::Avx2
-        } else if SimdLevel::Sse2.available() {
-            SimdLevel::Sse2
-        } else if SimdLevel::Neon.available() {
-            SimdLevel::Neon
-        } else {
-            SimdLevel::Scalar
-        }
-    })
-}
-
-/// Pins the active level for the whole process (`None` restores
-/// detection). Benches and tests use this to measure forced-scalar and
-/// auto-detected paths in one run; all levels are bit-identical, so a
-/// mid-inference switch changes timing, never results.
-///
-/// # Panics
-///
-/// Panics if the CPU cannot execute `level` — the guard that keeps every
-/// `unsafe` backend call behind a positive feature detection.
-pub fn set_forced(level: Option<SimdLevel>) {
-    if let Some(l) = level {
-        assert!(
-            l.available(),
-            "SIMD level {:?} not available on this CPU",
-            l
-        );
-    }
-    FORCED.store(level.map_or(0, SimdLevel::to_code), Ordering::Release);
-    // The sub-byte pack/unpack kernels live in `mixq-quant` (which cannot
-    // depend on this crate); keep its independent force switch in step so
-    // "forced scalar" means the whole pipeline, packing included.
-    mixq_quant::packing::set_force_scalar(level == Some(SimdLevel::Scalar));
-}
-
-/// The level kernels should dispatch to *now*: the [`set_forced`]
-/// override when present, otherwise [`detected_level`].
-pub fn active_level() -> SimdLevel {
-    SimdLevel::from_code(FORCED.load(Ordering::Acquire)).unwrap_or_else(detected_level)
-}
 
 /// `Σ x[i]` as an exact `i64` (the hoisted `Σ X` row term). Any length.
 #[inline]
@@ -1047,22 +925,5 @@ mod tests {
             &[0i16; 16],
             &mut acc,
         );
-    }
-
-    #[test]
-    fn forced_level_round_trips() {
-        set_forced(Some(SimdLevel::Scalar));
-        assert_eq!(active_level(), SimdLevel::Scalar);
-        set_forced(None);
-        assert_eq!(active_level(), detected_level());
-    }
-
-    #[test]
-    #[should_panic(expected = "not available")]
-    fn forcing_unavailable_level_panics() {
-        #[cfg(target_arch = "x86_64")]
-        set_forced(Some(SimdLevel::Neon));
-        #[cfg(not(target_arch = "x86_64"))]
-        set_forced(Some(SimdLevel::Avx2));
     }
 }

@@ -2,27 +2,36 @@
 //!
 //! One [`QGraph`](crate::QGraph) walk executes nodes **serially** (the
 //! DAG's dependency order and the arena's in-place recycling demand it),
-//! but the work *inside* a node — the im2col row blocks of a GEMM, the
-//! output-channel blocks of a direct/depthwise convolution — splits into
-//! disjoint output ranges with no cross-range dataflow. This pool
-//! broadcasts one such split to a fixed team of workers and joins them
-//! before the node returns, so the walk stays sequentially consistent
-//! while each node uses every core.
+//! but the work *inside* a node splits into disjoint output ranges with
+//! no cross-range dataflow. Every kernel splits the same way: contiguous
+//! **output rows** (output pixels × batch, each row holding all of its
+//! output channels in NHWC order) — the im2col gather and the blocked
+//! GEMM as much as the direct and depthwise convolutions. `split_rows`
+//! is that one split: it partitions the rows, broadcasts them to a fixed
+//! team of workers, joins them before the node returns and merges their
+//! data-dependent [`OpCounts`] tallies, so the walk stays sequentially
+//! consistent while each node uses every core. PULP-NN (Bruschi et al.
+//! 2020, arXiv:2007.07759) parallelizes its kernels the same way,
+//! splitting the output feature map spatially across cores.
+//!
+//! A pool attaches in exactly one place:
+//! [`ActivationArena::set_pool`](crate::ActivationArena::set_pool). Every
+//! node executed through that arena then splits its rows across the
+//! pool; without one, every node runs its rows serially.
 //!
 //! Design constraints, in order:
 //!
-//! * **bit-identity** — workers produce disjoint output ranges computed
-//!   with the exact serial arithmetic; the merge is a concatenation, so
-//!   any worker count (including 1) yields byte-identical codes;
-//! * **allocation-free steady state** — the pool is created once (per
-//!   [`IntNetwork::set_threads`](../mixq_core) evaluation call) and
-//!   reused for every node of every walk; a broadcast takes a lock and
-//!   two condvar signals but never touches the heap, preserving the
-//!   `tests/alloc_free.rs` guarantee with `threads ≥ 2`;
+//! * **bit-identity** — workers produce disjoint row ranges computed with
+//!   the exact serial arithmetic; the merge is a concatenation, so any
+//!   worker count (including 1) yields byte-identical codes and ledgers;
+//! * **allocation-free steady state** — the pool is created once by the
+//!   arena's owner and reused for every node of every walk; a broadcast
+//!   takes a lock and two condvar signals but never touches the heap,
+//!   preserving the `tests/alloc_free.rs` guarantee with `threads ≥ 2`;
 //! * **no new dependencies** — plain `std` `Mutex`/`Condvar` epoch
 //!   signalling instead of a crossbeam/rayon import.
 //!
-//! The pool caps at [`MAX_POOL_THREADS`] so kernel callers can keep their
+//! The pool caps at [`MAX_POOL_THREADS`] so the split can keep its
 //! partition tables in fixed stack arrays.
 
 #![allow(unsafe_code)]
@@ -30,6 +39,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+
+use crate::OpCounts;
 
 /// Upper bound on pool width (callers size stack-allocated partition
 /// tables as `[usize; MAX_POOL_THREADS + 1]`).
@@ -192,46 +203,13 @@ impl ThreadPool {
         }
     }
 
-    /// Splits `buf` at `bounds` (a monotone ascending split table,
-    /// `bounds[0] == 0`, `bounds.last() == buf.len()`, one range per
-    /// part) and runs `f(part, &mut buf[bounds[part]..bounds[part + 1]])`
-    /// across the pool — the safe facade kernels use to let each worker
-    /// write its own disjoint output range. Parts may number fewer than
-    /// `threads()`; surplus workers idle. Allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` is not a monotone cover of `buf` or has more
-    /// parts than workers.
-    pub fn broadcast_slices<T, F>(&self, buf: &mut [T], bounds: &[usize], f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        let parts = bounds.len().checked_sub(1).expect("at least one bound");
-        assert!(parts <= self.threads, "more parts than workers");
-        assert!(bounds.windows(2).all(|p| p[0] <= p[1]), "bounds ascend");
-        assert_eq!(bounds[0], 0, "bounds start at 0");
-        assert_eq!(bounds[parts], buf.len(), "bounds cover the buffer");
-        let base = buf.as_mut_ptr() as usize;
-        self.broadcast(&|worker: usize| {
-            if worker < parts {
-                let (lo, hi) = (bounds[worker], bounds[worker + 1]);
-                // SAFETY: the validated bounds give every part a disjoint
-                // in-range sub-slice of `buf`, whose exclusive borrow is
-                // held (unused) by this call for the whole broadcast.
-                let chunk =
-                    unsafe { std::slice::from_raw_parts_mut((base as *mut T).add(lo), hi - lo) };
-                f(worker, chunk);
-            }
-        });
-    }
-
-    /// [`ThreadPool::broadcast_slices`] over **two** buffers with their own
-    /// split tables (same part count): each part receives its disjoint
-    /// range of both — the shape the blocked GEMM needs, where a worker
-    /// owns an output-code range *and* a private accumulator-scratch
-    /// slice. Allocation-free.
+    /// Splits `buf_a` and `buf_b` at their own split tables (monotone
+    /// ascending, starting at 0, ending at the buffer's length, one range
+    /// per part, same part count) and runs `f(part, &mut buf_a[..],
+    /// &mut buf_b[..])` with each part's disjoint ranges across the pool —
+    /// the safe facade `split_rows` uses to let each worker write its
+    /// own output rows and its own private scratch. Parts may number fewer
+    /// than `threads()`; surplus workers idle. Allocation-free.
     ///
     /// # Panics
     ///
@@ -263,10 +241,9 @@ impl ThreadPool {
             if worker < parts {
                 let (alo, ahi) = (bounds_a[worker], bounds_a[worker + 1]);
                 let (blo, bhi) = (bounds_b[worker], bounds_b[worker + 1]);
-                // SAFETY: as in `broadcast_slices` — both validated split
-                // tables give every part disjoint in-range sub-slices of
-                // buffers whose exclusive borrows this call holds (unused)
-                // for the whole broadcast.
+                // SAFETY: both validated split tables give every part
+                // disjoint in-range sub-slices of buffers whose exclusive
+                // borrows this call holds (unused) for the whole broadcast.
                 let (chunk_a, chunk_b) = unsafe {
                     (
                         std::slice::from_raw_parts_mut((base_a as *mut T).add(alo), ahi - alo),
@@ -347,6 +324,75 @@ pub fn partition_bounds(n: usize, max_parts: usize, bounds: &mut [usize]) -> usi
     parts
 }
 
+/// Runs `f(lo, hi, chunk, part_scratch, tally)` over the output rows
+/// `[0, rows)` of `out` — the one intra-walk split of every kernel. `out`
+/// holds `rows` equal-length rows; `chunk` is its slice of rows
+/// `[lo, hi)` and `part_scratch` a private `scratch_per_part` slice of
+/// `scratch` (cleared and resized here), both exclusive to that call.
+///
+/// Without a pool, or with fewer than two rows, `f` runs once over every
+/// row on the caller's thread. With a [`ThreadPool`], [`partition_bounds`]
+/// cuts the rows into contiguous blocks, one per worker. Each call counts
+/// its data-dependent work (MACs, requantizations, threshold comparisons,
+/// loads) into its own `tally`; the tallies are sums over disjoint rows,
+/// so the merged total, added into `ops` and returned, is identical for
+/// any worker count.
+///
+/// # Panics
+///
+/// Panics if `out` does not hold whole rows, or re-raises a panic of `f`.
+pub(crate) fn split_rows<F>(
+    pool: Option<&ThreadPool>,
+    rows: usize,
+    out: &mut [u8],
+    scratch: &mut Vec<i32>,
+    scratch_per_part: usize,
+    ops: &mut OpCounts,
+    f: F,
+) -> OpCounts
+where
+    F: Fn(usize, usize, &mut [u8], &mut [i32], &mut OpCounts) + Sync,
+{
+    let row_len = out.len().checked_div(rows).unwrap_or(0);
+    assert_eq!(row_len * rows, out.len(), "output holds whole rows");
+    let mut row_bounds = [0usize; MAX_POOL_THREADS + 1];
+    let parts = partition_bounds(rows, pool.map_or(1, ThreadPool::threads), &mut row_bounds);
+    scratch.clear();
+    scratch.resize(parts * scratch_per_part, 0);
+    let mut tally = OpCounts::default();
+    if parts == 1 {
+        f(0, rows, out, scratch, &mut tally);
+    } else {
+        let mut out_bounds = [0usize; MAX_POOL_THREADS + 1];
+        let mut scratch_bounds = [0usize; MAX_POOL_THREADS + 1];
+        for p in 0..=parts {
+            out_bounds[p] = row_bounds[p] * row_len;
+            scratch_bounds[p] = p * scratch_per_part;
+        }
+        let merged = Mutex::new(OpCounts::default());
+        pool.expect("several parts imply a pool").broadcast_slices2(
+            out,
+            &out_bounds[..=parts],
+            scratch,
+            &scratch_bounds[..=parts],
+            |w, chunk, part_scratch| {
+                let mut local = OpCounts::default();
+                f(
+                    row_bounds[w],
+                    row_bounds[w + 1],
+                    chunk,
+                    part_scratch,
+                    &mut local,
+                );
+                *merged.lock().unwrap() += local;
+            },
+        );
+        tally = merged.into_inner().unwrap();
+    }
+    *ops += tally;
+    tally
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,33 +415,48 @@ mod tests {
     #[test]
     fn single_thread_pool_is_inline() {
         let pool = ThreadPool::new(1);
-        let mut buf = vec![0u32; 10];
-        pool.broadcast_slices(&mut buf, &[0, 10], |w, chunk| {
+        let (mut a, mut b) = (vec![0u32; 10], vec![0u8; 3]);
+        pool.broadcast_slices2(&mut a, &[0, 10], &mut b, &[0, 3], |w, ca, cb| {
             assert_eq!(w, 0);
-            for v in chunk {
-                *v = 7;
-            }
+            ca.fill(7);
+            cb.fill(1);
         });
-        assert_eq!(buf, vec![7; 10]);
+        assert_eq!(a, vec![7; 10]);
+        assert_eq!(b, vec![1; 3]);
     }
 
     #[test]
     fn broadcast_slices_parts_are_disjoint_and_cover() {
-        let pool = ThreadPool::new(3);
-        let mut buf = vec![0usize; 31];
-        let mut bounds = [0usize; MAX_POOL_THREADS + 1];
-        let parts = partition_bounds(buf.len(), pool.threads(), &mut bounds);
-        pool.broadcast_slices(&mut buf, &bounds[..=parts], |w, chunk| {
-            for v in chunk {
-                *v = w + 1;
-            }
-        });
-        // Every element written exactly once, in ascending part order.
-        let mut expect = Vec::new();
-        for w in 0..parts {
-            expect.extend(std::iter::repeat(w + 1).take(bounds[w + 1] - bounds[w]));
+        // `split_rows` hands every row to exactly one worker, in ascending
+        // part order, with a private scratch slice per part, and merges
+        // the per-part tallies.
+        for threads in [1, 2, 3, 8] {
+            let pool = ThreadPool::new(threads);
+            let mut out = vec![0u8; 31 * 2];
+            let mut scratch = Vec::new();
+            let mut ops = OpCounts::default();
+            let tally = split_rows(
+                Some(&pool),
+                31,
+                &mut out,
+                &mut scratch,
+                4,
+                &mut ops,
+                |lo, hi, rows, s, t| {
+                    assert_eq!(rows.len(), (hi - lo) * 2);
+                    assert_eq!(s.len(), 4);
+                    for (r, row) in rows.chunks_exact_mut(2).enumerate() {
+                        row.fill((lo + r) as u8);
+                    }
+                    t.macs += (hi - lo) as u64;
+                },
+            );
+            let expect: Vec<u8> = (0..31u8).flat_map(|r| [r, r]).collect();
+            assert_eq!(out, expect, "threads={threads}");
+            assert_eq!(tally.macs, 31);
+            assert_eq!(ops, tally);
+            assert_eq!(scratch.len(), threads.min(31) * 4);
         }
-        assert_eq!(buf, expect);
     }
 
     #[test]

@@ -29,7 +29,8 @@ use mixq_quant::BitWidth;
 /// SIMD levels and worker threads never feed into the model: the host
 /// kernels charge the abstract per-element ledger exactly as the scalar
 /// reference does, so modeled cycles are invariant under every
-/// `--threads` / `MIXQ_FORCE_SCALAR` setting.
+/// attached thread pool (`ActivationArena::set_pool`) and every
+/// `MIXQ_FORCE_SCALAR` setting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CortexM7CycleModel {
     /// Cycles per MAC, standard/pointwise convolution (8-bit operands,

@@ -11,6 +11,8 @@
 //!   layer (Eq. 5), with `0.5 ≤ |m0| < 1` and a Q31 integer mantissa.
 //! * [`packing`] — sub-byte bit packing so 4-/2-bit tensors really occupy
 //!   `Q/8` bytes per element, as on the microcontroller.
+//! * [`simd`] — the process-wide SIMD level every host kernel (packing
+//!   here, the integer kernels of `mixq-kernels`) dispatches on.
 //!
 //! All arithmetic on the deployment path is integer-only; floats appear only
 //! where the paper's fake-quantized training graph uses them.
@@ -39,6 +41,7 @@ mod bitwidth;
 pub mod fixedpoint;
 pub mod observer;
 pub mod packing;
+pub mod simd;
 
 pub use affine::{ChannelParams, Granularity, QuantParams, RoundingMode};
 pub use bitwidth::BitWidth;

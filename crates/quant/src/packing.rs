@@ -12,21 +12,13 @@
 //! shifts+masks, the host-side analogue of the PULP-NN `bitextract`
 //! unpacking (arXiv:2007.07759). They are bit-exact by construction (pure
 //! bit rearrangement, no arithmetic), validated against the scalar loops in
-//! the tests, and disabled by [`set_force_scalar`] / `MIXQ_FORCE_SCALAR` so
-//! the forced-scalar CI leg covers the portable path end to end.
+//! the tests, and dispatched on the process-wide [`crate::simd`] level: a
+//! scalar level (`MIXQ_FORCE_SCALAR`, or `simd::set_forced`) disables them,
+//! so the forced-scalar CI leg covers the portable path end to end.
 
 use std::fmt;
 
 use crate::BitWidth;
-
-/// Disables the SIMD pack/unpack kernels for the whole process (the scalar
-/// loops are always the reference semantics). `mixq-kernels` forwards its
-/// `simd::set_forced(Some(Scalar))` pin here so "forced scalar" covers the
-/// packing stage too; the `MIXQ_FORCE_SCALAR` environment variable is
-/// honored independently at first use.
-pub fn set_force_scalar(force: bool) {
-    simd::set_force_scalar(force);
-}
 
 /// A bit-packed buffer of unsigned `Q`-bit codes.
 ///
@@ -212,43 +204,13 @@ fn unpack_codes(bytes: &[u8], bits: BitWidth, out: &mut [u8]) {
 /// or input (unpack) blocks and leave the remainder to the scalar loops.
 #[allow(unsafe_code)]
 mod simd {
+    use crate::simd::{active_level, SimdLevel};
     use crate::BitWidth;
-    use std::sync::atomic::{AtomicBool, Ordering};
 
-    static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
-
-    pub(super) fn set_force_scalar(force: bool) {
-        FORCE_SCALAR.store(force, Ordering::Release);
-    }
-
-    /// Whether the SIMD kernels should run: not pinned off, not disabled by
-    /// `MIXQ_FORCE_SCALAR`, and the CPU has the baseline vector ISA.
+    /// Whether the SIMD kernels should run: the active level is a vector
+    /// one, which implies the CPU has the baseline vector ISA.
     pub(super) fn enabled() -> bool {
-        !FORCE_SCALAR.load(Ordering::Acquire) && detected()
-    }
-
-    fn detected() -> bool {
-        use std::sync::OnceLock;
-        static DETECTED: OnceLock<bool> = OnceLock::new();
-        *DETECTED.get_or_init(|| {
-            let forced_scalar =
-                std::env::var_os("MIXQ_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != "0");
-            if forced_scalar {
-                return false;
-            }
-            #[cfg(target_arch = "x86_64")]
-            {
-                is_x86_feature_detected!("sse2")
-            }
-            #[cfg(target_arch = "aarch64")]
-            {
-                true
-            }
-            #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-            {
-                false
-            }
-        })
+        active_level() != SimdLevel::Scalar
     }
 
     /// Packs as many whole blocks as possible; returns codes consumed.

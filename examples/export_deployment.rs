@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("trained + converted: {report}\n");
 
     // C header.
-    let header = emit_c_header(&int_net, "keyword_net");
+    let header = emit_c_header(&int_net, "keyword_net")?;
     let path = std::env::temp_dir().join("keyword_net.h");
     std::fs::write(&path, &header)?;
     println!(

@@ -7,7 +7,7 @@
 //! stream their prepacked weight panels and draw the im2col expansion from
 //! the arena's auxiliary scratch, with an intra-walk worker pool, and for
 //! a depthwise node reading a 4-bit activation, whose once-per-call
-//! unpack is staged in an arena buffer.
+//! unpack is staged in an arena buffer (serially and with a worker pool).
 //!
 //! This file installs a counting global allocator, so it deliberately
 //! contains a single test (parallel tests in the same binary would pollute
@@ -146,12 +146,16 @@ fn steady_state_inference_is_allocation_free() {
         Some(BitWidth::W4),
         "the depthwise node reads 4-bit codes"
     );
-    for batch in [1, 4] {
-        let (leaked, _) = measure_batched(&net4, ds.images(), batch);
+    let (_, serial4) = measure_batched(&net4, ds.images(), 4);
+    for (batch, threads) in [(1, 1), (4, 1), (4, 2)] {
+        let (leaked, logits) = measure_batched_threads(&net4, ds.images(), batch, threads);
         assert_eq!(
             leaked, 0,
-            "steady-state batch-{batch} inference with a 4-bit depthwise input must not touch the heap"
+            "steady-state batch-{batch} inference on {threads} thread(s) with a 4-bit depthwise input must not touch the heap"
         );
+        if batch == 4 {
+            assert_eq!(logits, serial4, "{threads}-thread walk is bit-identical");
+        }
     }
 }
 

@@ -8,9 +8,10 @@ mod common;
 use mixq::core::convert::{convert, scheme_granularity, IntNetwork};
 use mixq::core::export::emit_c_header;
 use mixq::core::memory::{network_flash_footprint_with_acts, peak_activation_bytes, QuantScheme};
+use mixq::core::MixQError;
 use mixq::data::{Dataset, DatasetSpec, SyntheticKind};
 use mixq::kernels::{KernelChoice, OpCounts, QOp};
-use mixq::models::micro::network_spec_of;
+use mixq::models::micro::{mobilenet_like_residual, network_spec_of};
 use mixq::nn::qat::{MicroCnnSpec, QatNetwork};
 use mixq::nn::train::{train, TrainConfig};
 use mixq::quant::BitWidth;
@@ -103,7 +104,7 @@ fn gemm_paths_match_direct_on_converted_network() {
 #[test]
 fn exported_header_accounts_for_flash_bytes() {
     let (_, int_net, _) = trained(QuantScheme::PerChannelIcn, BitWidth::W4);
-    let header = emit_c_header(&int_net, "consistency");
+    let header = emit_c_header(&int_net, "consistency").expect("chain network exports");
     // Parse the declared array lengths back out of the header and compare
     // byte totals with flash_bytes().
     let mut total = 0usize;
@@ -138,6 +139,35 @@ fn exported_header_accounts_for_flash_bytes() {
         int_net.flash_bytes(),
         "header arrays must account for exactly the flash footprint"
     );
+}
+
+#[test]
+fn exporter_rejects_residual_graphs() {
+    // The chain header has no residual adds or skip wiring: a residual
+    // MobileNet must be refused, naming the first node the chain cannot
+    // express, rather than exported without its adds.
+    let spec = mobilenet_like_residual(16, 2, 8, 3);
+    let input = spec.input_shape();
+    let ds = DatasetSpec::new(SyntheticKind::Bars, input.h, input.w, input.c, 3)
+        .with_samples(8)
+        .generate(5);
+    let mut net = QatNetwork::build(&spec, 5);
+    net.calibrate_input(ds.images());
+    net.enable_fake_quant(scheme_granularity(QuantScheme::PerChannelIcn));
+    let int_net = convert(&net, QuantScheme::PerChannelIcn).expect("convertible");
+    let nodes = int_net.graph().nodes();
+    let first_skip = nodes
+        .iter()
+        .enumerate()
+        .position(|(i, n)| n.inputs() != [i])
+        .expect("a residual graph has a node off the chain");
+    match emit_c_header(&int_net, "residual") {
+        Err(MixQError::UnsupportedExport { index, node }) => {
+            assert_eq!(index, first_skip);
+            assert_eq!(node, nodes[first_skip].name());
+        }
+        other => panic!("residual graph exported: {other:?}"),
+    }
 }
 
 #[test]

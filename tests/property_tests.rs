@@ -22,6 +22,24 @@ fn bitwidth_strategy() -> impl Strategy<Value = BitWidth> {
     prop_oneof![Just(BitWidth::W2), Just(BitWidth::W4), Just(BitWidth::W8),]
 }
 
+/// A backend that runs every dense convolution through the blocked GEMM,
+/// including the tiny and sub-byte shapes the tiled cost model leaves on
+/// the direct kernel.
+struct BlockedEverywhere;
+
+impl Backend for BlockedEverywhere {
+    fn name(&self) -> &'static str {
+        "blocked-everywhere"
+    }
+
+    fn select(&self, op: &AnyOp, _i: &[Shape], _b: &[BitWidth]) -> KernelChoice {
+        match op {
+            AnyOp::Conv(c) if !c.weights().is_depthwise() => KernelChoice::BlockedGemm,
+            _ => KernelChoice::DirectConv,
+        }
+    }
+}
+
 /// Deterministic random residual DAG shared by the equivalence proptests:
 /// a `depth`-layer conv stack (optionally capped by an identity skip), an
 /// average pool and a linear head, plus a matching batched input — the
@@ -344,6 +362,8 @@ proptest! {
         h in 1usize..10,
         w in 1usize..10,
         batch in 1usize..4,
+        tiny in any::<bool>(),
+        threads in 2usize..=4,
         wbits in bitwidth_strategy(),
         abits in bitwidth_strategy(),
         out_bits in bitwidth_strategy(),
@@ -355,12 +375,19 @@ proptest! {
         // with and without its prepacked weight codes) must equal the
         // per-MAC reference `QConv2d::execute` — output codes AND the
         // abstract ledger — at every SIMD level the host can run and
-        // across a 2-thread channel split. The channel range crosses the
+        // across a 2–4-thread row split. The channel range crosses the
         // 64-channel block and every 8/16-lane tail; sub-byte inputs
-        // take the staged-unpack path.
+        // take the staged-unpack path; `tiny` inputs have one output
+        // pixel per sample, so the split often has fewer rows than
+        // threads.
         use std::sync::Arc;
         use mixq::kernels::{simd, ActivationArena, OpOutput, ThreadPool};
-        let (h, w) = if same { (h, w) } else { (h.max(k), w.max(k)) };
+        let (h, w) = match (tiny, same) {
+            (true, true) => (1, 1),
+            (true, false) => (k, k),
+            (false, true) => (h, w),
+            (false, false) => (h.max(k), w.max(k)),
+        };
         let padding = if same { Padding::Same } else { Padding::Valid };
         let lcg = |i: usize, salt: u64, levels: u32| {
             ((i as u64 * 2654435761 + seed * 97 + salt) % 1_000_003 % levels as u64) as u8
@@ -404,11 +431,11 @@ proptest! {
                 prop_assert_eq!(ops, ref_ops, "{:?} ledger diverges", level);
             }
             let mut arena = ActivationArena::new();
-            arena.set_pool(Arc::new(ThreadPool::new(2)));
+            arena.set_pool(Arc::new(ThreadPool::new(threads)));
             let mut ops = OpCounts::default();
             let out = conv.execute_kernel(KernelChoice::DirectConv, cache, &[&x], &mut arena, &mut ops);
-            prop_assert_eq!(out, OpOutput::Act(reference.clone()), "channel split diverges");
-            prop_assert_eq!(ops, ref_ops, "channel-split ledger diverges");
+            prop_assert_eq!(out, OpOutput::Act(reference.clone()), "{} threads: row split diverges", threads);
+            prop_assert_eq!(ops, ref_ops, "{} threads: row-split ledger diverges", threads);
         }
     }
 
@@ -430,16 +457,6 @@ proptest! {
         // model leaves direct), and the cost-driven tiled backend. Logits
         // must be bit-identical — backends trade dataflow, never
         // arithmetic.
-        struct BlockedEverywhere;
-        impl Backend for BlockedEverywhere {
-            fn name(&self) -> &'static str { "blocked-everywhere" }
-            fn select(&self, op: &AnyOp, _i: &[Shape], _b: &[BitWidth]) -> KernelChoice {
-                match op {
-                    AnyOp::Conv(c) if !c.weights().is_depthwise() => KernelChoice::BlockedGemm,
-                    _ => KernelChoice::DirectConv,
-                }
-            }
-        }
         let input = Shape::feature_map(h, h, ch);
         let layer = |l: usize, out_bits: BitWidth| {
             let wshape = Shape::new(ch, k, k, ch);
@@ -951,26 +968,37 @@ proptest! {
         zx in 0u8..4,
         seed in 0u64..1000,
     ) {
-        // An intra-walk worker pool splits row blocks of each blocked GEMM
+        // An intra-walk worker pool splits the output rows of every node
         // across threads; the merged result — logits and ledger — must be
-        // bit-identical to the serial pooled walk of the same graph.
+        // bit-identical to the serial pooled walk of the same graph. The
+        // graph also runs with every dense conv on the blocked GEMM, which
+        // puts 3×3 sub-byte inputs through the pooled im2col gather.
         use std::sync::Arc;
         use mixq::kernels::{ActivationArena, ThreadPool};
         let (g, xb) = random_residual_dag(depth, ch, h, k, batch, wbits, abits,
                                           with_skip, tiled, zx, seed);
-        let mut serial_arena = ActivationArena::new();
-        let mut serial_logits = Vec::new();
-        let mut serial_ops = OpCounts::default();
-        g.infer_batch(xb.clone(), &mut serial_arena, &mut serial_logits, &mut serial_ops);
-
-        let mut pooled_arena = ActivationArena::new();
-        pooled_arena.set_pool(Arc::new(ThreadPool::new(threads)));
-        let mut pooled_logits = Vec::new();
-        let mut pooled_ops = OpCounts::default();
-        g.infer_batch(xb, &mut pooled_arena, &mut pooled_logits, &mut pooled_ops);
-
-        prop_assert_eq!(pooled_logits, serial_logits);
+        let walk = |g: &QGraph, threads: usize| {
+            let mut arena = ActivationArena::new();
+            if threads > 1 {
+                arena.set_pool(Arc::new(ThreadPool::new(threads)));
+            }
+            let mut logits = Vec::new();
+            let mut ops = OpCounts::default();
+            g.infer_batch(xb.clone(), &mut arena, &mut logits, &mut ops);
+            (logits, ops)
+        };
+        let (serial_logits, serial_ops) = walk(&g, 1);
+        let (pooled_logits, pooled_ops) = walk(&g, threads);
+        prop_assert_eq!(&pooled_logits, &serial_logits);
         prop_assert_eq!(pooled_ops, serial_ops);
+
+        let mut blocked = g.clone();
+        blocked.select_kernels(&BlockedEverywhere);
+        let (blocked_serial, blocked_serial_ops) = walk(&blocked, 1);
+        let (blocked_pooled, blocked_pooled_ops) = walk(&blocked, threads);
+        prop_assert_eq!(&blocked_serial, &serial_logits, "blocked GEMM diverges");
+        prop_assert_eq!(&blocked_pooled, &serial_logits, "pooled blocked GEMM diverges");
+        prop_assert_eq!(blocked_pooled_ops, blocked_serial_ops);
     }
 
     #[test]
