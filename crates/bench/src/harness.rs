@@ -236,8 +236,8 @@ pub fn host_meta(threads: usize) -> JsonObject {
     meta
 }
 
-/// The vector-ISA features the SIMD dispatcher probes that are present on
-/// this CPU, in a fixed order.
+/// The vector-ISA features present on this CPU that the SIMD backends
+/// build on (the SSE2 baseline, the AVX2 level, NEON), in a fixed order.
 fn detected_cpu_features() -> Vec<&'static str> {
     let mut features = Vec::new();
     #[cfg(target_arch = "x86_64")]

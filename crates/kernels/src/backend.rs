@@ -26,8 +26,7 @@
 //! # Plugging a custom backend
 //!
 //! Implement [`Backend`] and hand it to
-//! [`QGraph::select_kernels`](crate::QGraph::select_kernels),
-//! [`QGraph::push_node_with`](crate::QGraph::push_node_with) or
+//! [`QGraph::select_kernels`](crate::QGraph::select_kernels) or
 //! `mixq_core::convert::convert_with_backend`. Only return choices the op
 //! supports ([`QOp::supported_kernels`](crate::QOp::supported_kernels));
 //! the graph validates the selection.
@@ -121,8 +120,7 @@ impl fmt::Display for KernelChoice {
 /// execute with.
 ///
 /// Selection runs at graph build time
-/// ([`QGraph::push_node_with`](crate::QGraph::push_node_with) /
-/// [`QGraph::select_kernels`](crate::QGraph::select_kernels)); the resolved
+/// ([`QGraph::select_kernels`](crate::QGraph::select_kernels)); the resolved
 /// choice is stored on the node, drives execution dispatch, the scratch-RAM
 /// model ([`QGraph::peak_scratch_bytes`](crate::QGraph::peak_scratch_bytes))
 /// and the per-choice cycle pricing in `mixq-mcu`. Implementations must be

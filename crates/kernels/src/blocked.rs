@@ -21,8 +21,8 @@
 //!   SIMD width even on the tiny `k ∈ {4..128}` patches of a
 //!   width-scaled MobileNet (a `k`-axis formulation starves there), and
 //!   every weight byte loaded serves two rows;
-//! * **runtime-dispatched SIMD** — [`crate::simd`] picks AVX2/SSE2
-//!   widening `pmaddwd` on x86_64 or NEON widening multiply-accumulate on
+//! * **runtime-dispatched SIMD** — [`crate::simd`] picks AVX2
+//!   widening `vpmaddwd` on x86_64 or NEON widening multiply-accumulate on
 //!   aarch64, with the portable scalar loop as the always-available
 //!   fallback. Integer sums are order-independent, so every level is
 //!   bit-identical;

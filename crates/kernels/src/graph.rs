@@ -708,9 +708,8 @@ impl GraphNode {
     }
 
     /// The kernel implementation this node executes with — resolved by a
-    /// [`Backend`] at build time ([`QGraph::push_node_with`] /
-    /// [`QGraph::select_kernels`]); [`KernelChoice::DirectConv`] for nodes
-    /// pushed without a backend.
+    /// [`Backend`] in [`QGraph::select_kernels`];
+    /// [`KernelChoice::DirectConv`] until a backend is selected.
     pub fn choice(&self) -> KernelChoice {
         self.choice
     }
@@ -927,12 +926,12 @@ impl ActivationArena {
 /// already be defined, so the node order doubles as the execution
 /// schedule. See the [module docs](self) for examples.
 ///
-/// Each node carries the [`KernelChoice`] it executes with. Plain
+/// Each node carries the [`KernelChoice`] it executes with.
 /// [`QGraph::push`]/[`QGraph::push_node`] resolve every node to the direct
 /// reference kernel (bit-identical to the pre-backend executor); declaring
-/// the input with [`QGraph::with_input`] enables build-time [`Backend`]
-/// selection through [`QGraph::push_with`]/[`QGraph::push_node_with`], and
-/// [`QGraph::select_kernels`] re-resolves a whole graph against a backend.
+/// the input with [`QGraph::with_input`] enables [`Backend`] selection,
+/// and [`QGraph::select_kernels`] resolves a whole graph against a
+/// backend.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct QGraph {
     nodes: Vec<GraphNode>,
@@ -946,10 +945,10 @@ impl QGraph {
         QGraph::default()
     }
 
-    /// An empty graph with a declared input tensor, enabling build-time
-    /// kernel selection: backends see each node's input shapes and
-    /// precisions, derived from this declaration through the ops already
-    /// pushed.
+    /// An empty graph with a declared input tensor, enabling kernel
+    /// selection ([`QGraph::select_kernels`]): backends see each node's
+    /// input shapes and precisions, derived from this declaration through
+    /// the graph's ops.
     pub fn with_input(input: Shape, in_bits: BitWidth) -> Self {
         QGraph {
             nodes: Vec::new(),
@@ -971,23 +970,6 @@ impl QGraph {
         self.push_node(name, op, &[prev])
     }
 
-    /// [`QGraph::push`] with build-time kernel selection: `backend` picks
-    /// the node's [`KernelChoice`] from its input shapes and precisions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph has no declared input ([`QGraph::with_input`])
-    /// or the backend returns an unsupported choice.
-    pub fn push_with(
-        &mut self,
-        name: impl Into<String>,
-        op: impl Into<AnyOp>,
-        backend: &dyn Backend,
-    ) -> usize {
-        let prev = self.nodes.len();
-        self.push_node_with(name, op, &[prev], backend)
-    }
-
     /// Appends a node with explicit input tensor ids (0 = graph input,
     /// `k + 1` = output of node `k`). Returns the new node's output tensor
     /// id. The node runs the direct reference kernel.
@@ -1002,48 +984,8 @@ impl QGraph {
         op: impl Into<AnyOp>,
         inputs: &[usize],
     ) -> usize {
-        self.push_resolved(name.into(), op.into(), inputs, KernelChoice::DirectConv)
-    }
-
-    /// [`QGraph::push_node`] with build-time kernel selection: `backend`
-    /// picks the node's [`KernelChoice`] from the shapes and precisions of
-    /// its input tensors (derived from the declared graph input).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph has no declared input ([`QGraph::with_input`]),
-    /// the backend returns a choice outside the op's
-    /// [`QOp::supported_kernels`], or the [`QGraph::push_node`] conditions
-    /// are violated.
-    pub fn push_node_with(
-        &mut self,
-        name: impl Into<String>,
-        op: impl Into<AnyOp>,
-        inputs: &[usize],
-        backend: &dyn Backend,
-    ) -> usize {
         let name = name.into();
         let op = op.into();
-        let (input, in_bits) = self.input.unwrap_or_else(|| {
-            panic!(
-                "node `{name}`: backend selection needs a declared graph input \
-                 (build the graph with QGraph::with_input)"
-            )
-        });
-        let (shapes, bits) = self.tensor_plan(input, in_bits);
-        let in_shapes: Vec<Shape> = inputs.iter().map(|&t| shapes[t]).collect();
-        let in_bits_v: Vec<BitWidth> = inputs.iter().map(|&t| bits[t]).collect();
-        let choice = resolve_choice(backend, &name, &op, &in_shapes, &in_bits_v);
-        self.push_resolved(name, op, inputs, choice)
-    }
-
-    fn push_resolved(
-        &mut self,
-        name: String,
-        op: AnyOp,
-        inputs: &[usize],
-        choice: KernelChoice,
-    ) -> usize {
         let out_id = self.nodes.len() + 1;
         assert_eq!(
             inputs.len(),
@@ -1062,7 +1004,7 @@ impl QGraph {
             name,
             op,
             inputs: inputs.to_vec(),
-            choice,
+            choice: KernelChoice::DirectConv,
             cache: None,
             prepack_ops: OpCounts::default(),
         };
@@ -1876,10 +1818,10 @@ mod tests {
     fn push_with_selects_at_build_time() {
         let input = Shape::feature_map(5, 5, 2);
         let mut g = QGraph::with_input(input, BitWidth::W8);
-        let backend = crate::TiledBackend::default();
-        g.push_with("dw", depthwise(2, 1), &backend);
-        let pw = g.push_with("pw", pointwise(2, 4, 1), &backend);
-        g.push_node_with("res", identity_add(), &[pw, pw], &backend);
+        g.push("dw", depthwise(2, 1));
+        let pw = g.push("pw", pointwise(2, 4, 1));
+        g.push_node("res", identity_add(), &[pw, pw]);
+        g.select_kernels(&crate::TiledBackend::default());
         assert_eq!(
             g.kernel_choices(),
             vec![
@@ -1896,7 +1838,8 @@ mod tests {
     #[should_panic(expected = "declared graph input")]
     fn push_with_requires_declared_input() {
         let mut g = QGraph::new();
-        g.push_with("pw", pointwise(2, 4, 1), &crate::TiledBackend::default());
+        g.push("pw", pointwise(2, 4, 1));
+        g.select_kernels(&crate::TiledBackend::default());
     }
 
     #[test]
@@ -1918,8 +1861,9 @@ mod tests {
         }
         let input = Shape::feature_map(5, 5, 2);
         let mut g = QGraph::with_input(input, BitWidth::W8);
+        g.push("dw", depthwise(2, 1));
         // Depthwise has no GEMM lowering: the selection must be rejected.
-        g.push_with("dw", depthwise(2, 1), &GemmEverywhere);
+        g.select_kernels(&GemmEverywhere);
     }
 
     #[test]

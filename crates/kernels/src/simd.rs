@@ -21,15 +21,17 @@
 //! actually has — it broadcasts two activation codes at a time and
 //! multiply-accumulates them against *all output channels at once*, using
 //! the pair-interleaved panel layout of
-//! [`PackedPanels`](crate::PackedPanels). Eight (or four) channels
-//! advance per vector op regardless of how small `k` is.
+//! [`PackedPanels`](crate::PackedPanels). Eight channels advance per
+//! vector op regardless of how small `k` is.
 //!
-//! The dispatched backends:
+//! Each architecture has one hand-written backend: AVX2 on x86_64, NEON
+//! on aarch64, and the portable loop everywhere else — including a
+//! pre-AVX2 x86_64 host, where LLVM auto-vectorizes it at the SSE2
+//! baseline. The dispatched backends:
 //!
 //! | level | arch | widening multiply-accumulate |
 //! |---|---|---|
 //! | [`SimdLevel::Scalar`] | any | portable dual-row channel loop (always available) |
-//! | [`SimdLevel::Sse2`] | x86_64 | `punpck*` zero-extend + `pmaddwd`, `psadbw` row sums |
 //! | [`SimdLevel::Avx2`] | x86_64 | `vpmovzxbw` + `vpmaddwd` (the `maddubs`-family widening multiply-add, minus its signed-saturating hazard: both operands are zero-extended to `i16`, so every pairwise product is exact) |
 //! | [`SimdLevel::Neon`] | aarch64 | `vld2` de-interleave + `vmull_u8` widening multiply |
 //!
@@ -43,7 +45,6 @@
 //! | level | depthwise dual-tap multiply-accumulate |
 //! |---|---|
 //! | [`SimdLevel::Scalar`] | portable per-channel tap loop (the reference) |
-//! | [`SimdLevel::Sse2`] | `punpcklbw` tap interleave + zero-extend, `psubw` centring, `pmaddwd` |
 //! | [`SimdLevel::Avx2`] | `punpck{l,h}bw` tap interleave, `vpmovzxbw` + `vpsubw` centring, `vpmaddwd` |
 //! | [`SimdLevel::Neon`] | the portable loop, auto-vectorized at the NEON baseline |
 //!
@@ -86,10 +87,8 @@ pub fn row_sum(level: SimdLevel, x: &[u8]) -> i64 {
     match level {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `available()` was asserted when the level was forced, or
-        // the level came from runtime detection on this CPU.
-        SimdLevel::Sse2 => unsafe { x86::row_sum_sse2(x) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above — AVX2 is positively detected before dispatch.
+        // the level came from runtime detection on this CPU — AVX2 is
+        // positively detected before dispatch.
         SimdLevel::Avx2 => unsafe { x86::row_sum_avx2(x) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: NEON is baseline on aarch64.
@@ -141,9 +140,6 @@ pub fn gemv2(
     match level {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: level is positively feature-detected (see `row_sum`).
-        SimdLevel::Sse2 => unsafe { x86::gemv2_sse2(x0, x1, pairs, tail, acc0, acc1) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
         SimdLevel::Avx2 => unsafe { x86::gemv2_avx2(x0, x1, pairs, tail, acc0, acc1) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: NEON is baseline on aarch64.
@@ -238,9 +234,9 @@ fn gemv2_channel_tail(
 /// channel row in `x` — an even count, so an odd kernel appends a pad tap
 /// whose weights are zero (any in-bounds offset will do). `wpairs` is the
 /// block's zero-point-centred weight panel with the two taps of each pair
-/// interleaved per channel, so one widening multiply-add (`pmaddwd`)
-/// advances eight (AVX2) or four (SSE2) channels by two taps. A tap that
-/// falls in the padding is a row of `zx` codes, which centres to zero.
+/// interleaved per channel, so one widening multiply-add (`vpmaddwd`)
+/// advances eight channels by two taps. A tap that falls in the padding
+/// is a row of `zx` codes, which centres to zero.
 ///
 /// Exactness: `|x − zx| ≤ 255` and every weight is an `i16`, so each
 /// product fits `i32`, a `pmaddwd` pair sum cannot reach its one
@@ -279,13 +275,10 @@ pub fn dw_taps(
     );
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is positively detected (see `row_sum`); every tap
+        // SAFETY: AVX2 is positively detected (see `row_sum`); every tap
         // row and the weight panel were bounds-checked above; lanes sum
         // ≤ MAX_DW_TAPS products of |x − zx| ≤ 255 by an i16 weight,
         // exact in i32 (see `MAX_DW_TAPS`).
-        SimdLevel::Sse2 => unsafe { x86::dw_taps_sse2(x, offs, zx, wpairs, acc) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above, with AVX2 positively detected.
         SimdLevel::Avx2 => unsafe { x86::dw_taps_avx2(x, offs, zx, wpairs, acc) },
         #[allow(unreachable_patterns)]
         _ => dw_taps_channels(x, offs, zx, wpairs, 0, acc),
@@ -315,10 +308,10 @@ fn dw_taps_channels(x: &[u8], offs: &[usize], zx: u8, wpairs: &[i16], j0: usize,
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! SSE2/AVX2 backends. Overflow bound (per `i32` accumulator lane,
-    //! `k ≤ 32768`): each `pmaddwd` adds one column pair
+    //! AVX2 backends. Overflow bound (per `i32` accumulator lane,
+    //! `k ≤ 32768`): each `vpmaddwd` adds one column pair
     //! `≤ 2·255² = 130050`, so a full-length row contributes
-    //! `16384 · 130050 < 2³¹`. `psadbw` partials (`≤ 8·255`) accumulate
+    //! `16384 · 130050 < 2³¹`. `vpsadbw` partials (`≤ 8·255`) accumulate
     //! in 64-bit lanes.
 
     use super::{dw_taps_channels, gemv2_channel_tail};
@@ -341,28 +334,6 @@ mod x86 {
         let mut lanes = [0i64; 4];
         _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
         let mut total: i64 = lanes.iter().sum();
-        for &v in &x[i..] {
-            total += v as i64;
-        }
-        total
-    }
-
-    /// # Safety
-    /// Caller must have detected SSE2.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn row_sum_sse2(x: &[u8]) -> i64 {
-        let n = x.len();
-        let mut acc = _mm_setzero_si128();
-        let zero = _mm_setzero_si128();
-        let mut i = 0;
-        while i + 16 <= n {
-            let v = _mm_loadu_si128(x.as_ptr().add(i) as *const __m128i);
-            acc = _mm_add_epi64(acc, _mm_sad_epu8(v, zero));
-            i += 16;
-        }
-        let mut lanes = [0i64; 2];
-        _mm_storeu_si128(lanes.as_mut_ptr() as *mut __m128i, acc);
-        let mut total = lanes[0] + lanes[1];
         for &v in &x[i..] {
             total += v as i64;
         }
@@ -424,53 +395,14 @@ mod x86 {
         }
     }
 
-    /// # Safety
-    /// Caller must have detected SSE2; bounds as checked in [`super::dw_taps`].
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn dw_taps_sse2(x: &[u8], offs: &[usize], zx: u8, wpairs: &[i16], acc: &mut [i32]) {
-        let n = acc.len();
-        let xp = x.as_ptr();
-        let wp = wpairs.as_ptr();
-        let zero = _mm_setzero_si128();
-        let zxv = _mm_set1_epi16(zx as i16);
-        let mut j = 0;
-        // 8 channels per step: punpcklbw interleaves the two taps' codes,
-        // punpck{l,h}bw against zero zero-extends each 4-channel half.
-        while j + 8 <= n {
-            let mut a0 = _mm_setzero_si128();
-            let mut a1 = _mm_setzero_si128();
-            for (p, t) in offs.chunks_exact(2).enumerate() {
-                let x0 = _mm_loadl_epi64(xp.add(t[0] + j) as *const __m128i);
-                let x1 = _mm_loadl_epi64(xp.add(t[1] + j) as *const __m128i);
-                let v = _mm_unpacklo_epi8(x0, x1);
-                let lo = _mm_sub_epi16(_mm_unpacklo_epi8(v, zero), zxv);
-                let hi = _mm_sub_epi16(_mm_unpackhi_epi8(v, zero), zxv);
-                let w = wp.add((p * n + j) * 2);
-                a0 = _mm_add_epi32(a0, _mm_madd_epi16(lo, _mm_loadu_si128(w as *const __m128i)));
-                a1 = _mm_add_epi32(
-                    a1,
-                    _mm_madd_epi16(hi, _mm_loadu_si128(w.add(8) as *const __m128i)),
-                );
-            }
-            _mm_storeu_si128(acc.as_mut_ptr().add(j) as *mut __m128i, a0);
-            _mm_storeu_si128(acc.as_mut_ptr().add(j + 4) as *mut __m128i, a1);
-            j += 8;
-        }
-        if j + 4 <= n {
-            dw_taps4_sse2(x, offs, zx, wpairs, j, acc);
-            j += 4;
-        }
-        if j < n {
-            dw_taps_channels(x, offs, zx, wpairs, j, acc);
-        }
-    }
-
-    /// Channels `j..j + 4` of [`super::dw_taps`] (the 4-lane tail of both
-    /// x86 backends): 4-byte tap loads, `pmaddwd` into one `i32` vector.
+    /// Channels `j..j + 4` of [`super::dw_taps`] (the 4-lane tail of the
+    /// AVX2 backend, in 128-bit SSE2 registers): 4-byte tap loads,
+    /// `pmaddwd` into one `i32` vector.
     ///
     /// # Safety
-    /// Caller must have detected SSE2 and keep `j + 4 ≤ acc.len()`;
-    /// bounds as checked in [`super::dw_taps`].
+    /// Caller must run on an SSE2 CPU (every x86_64 CPU; the AVX2 caller
+    /// implies it) and keep `j + 4 ≤ acc.len()`; bounds as checked in
+    /// [`super::dw_taps`].
     #[inline]
     #[target_feature(enable = "sse2")]
     unsafe fn dw_taps4_sse2(
@@ -575,67 +507,6 @@ mod x86 {
         }
         if co8 < co_n {
             gemv2_channel_tail(x0, x1, pairs, tail, co8, acc0, acc1);
-        }
-    }
-
-    /// # Safety
-    /// Caller must have detected SSE2; layout invariants as in [`super::gemv2`].
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn gemv2_sse2(
-        x0: &[u8],
-        x1: &[u8],
-        pairs: &[u8],
-        tail: &[u8],
-        acc0: &mut [i32],
-        acc1: &mut [i32],
-    ) {
-        let k = x0.len();
-        let co_n = acc0.len();
-        let co4 = co_n & !3;
-        let zero = _mm_setzero_si128();
-        let wp = pairs.as_ptr();
-        // Same splat-buffer chunking as the AVX2 backend, at 128-bit width.
-        let mut xs0 = [0i32; PAIR_CHUNK];
-        let mut xs1 = [0i32; PAIR_CHUNK];
-        let mut p0 = 0usize;
-        while p0 < k / 2 {
-            let pn = (k / 2 - p0).min(PAIR_CHUNK);
-            for p in 0..pn {
-                let i = (p0 + p) * 2;
-                xs0[p] = (x0[i] as i32) | ((x0[i + 1] as i32) << 16);
-                xs1[p] = (x1[i] as i32) | ((x1[i + 1] as i32) << 16);
-            }
-            let mut ct = 0;
-            while ct < co4 {
-                let mut a0 = _mm_loadu_si128(acc0.as_ptr().add(ct) as *const __m128i);
-                let mut a1 = _mm_loadu_si128(acc1.as_ptr().add(ct) as *const __m128i);
-                for p in 0..pn {
-                    // 8 bytes = 4 channels' pairs; punpcklbw against zero
-                    // is the SSE2 zero-extension to 8 i16 lanes.
-                    let wb = _mm_loadl_epi64(wp.add(((p0 + p) * co_n + ct) * 2) as *const __m128i);
-                    let w = _mm_unpacklo_epi8(wb, zero);
-                    a0 = _mm_add_epi32(a0, _mm_madd_epi16(_mm_set1_epi32(xs0[p]), w));
-                    a1 = _mm_add_epi32(a1, _mm_madd_epi16(_mm_set1_epi32(xs1[p]), w));
-                }
-                _mm_storeu_si128(acc0.as_mut_ptr().add(ct) as *mut __m128i, a0);
-                _mm_storeu_si128(acc1.as_mut_ptr().add(ct) as *mut __m128i, a1);
-                ct += 4;
-            }
-            p0 += pn;
-        }
-        // Odd last column (no SSE2 32-bit mullo: scalar, once per call)
-        // and the channel remainder.
-        if k & 1 == 1 {
-            let xa = x0[k - 1] as i32;
-            let xb = x1[k - 1] as i32;
-            for co in 0..co4 {
-                let w = tail[co] as i32;
-                acc0[co] += xa * w;
-                acc1[co] += xb * w;
-            }
-        }
-        if co4 < co_n {
-            gemv2_channel_tail(x0, x1, pairs, tail, co4, acc0, acc1);
         }
     }
 }
@@ -750,18 +621,6 @@ mod tests {
             .collect()
     }
 
-    fn levels_to_test() -> Vec<SimdLevel> {
-        [
-            SimdLevel::Scalar,
-            SimdLevel::Sse2,
-            SimdLevel::Avx2,
-            SimdLevel::Neon,
-        ]
-        .into_iter()
-        .filter(|l| l.available())
-        .collect()
-    }
-
     /// Builds the pair-interleaved panel from row-major weights.
     fn interleave(w: &[Vec<u8>], k: usize) -> (Vec<u8>, Vec<u8>) {
         let co_n = w.len();
@@ -805,7 +664,7 @@ mod tests {
                 let (pairs, tail) = interleave(&w, k);
                 let want0 = reference(&x0, &w);
                 let want1 = reference(&x1, &w);
-                for level in levels_to_test() {
+                for level in SimdLevel::available_levels() {
                     let mut acc0 = vec![1i32; co_n]; // nonzero: gemv2 adds
                     let mut acc1 = vec![2i32; co_n];
                     gemv2(level, &x0, &x1, &pairs, &tail, &mut acc0, &mut acc1);
@@ -839,7 +698,7 @@ mod tests {
         let w: Vec<Vec<u8>> = (0..co_n).map(|_| vec![255u8; k]).collect();
         let (pairs, tail) = interleave(&w, k);
         let want = (k as i64) * 255 * 255;
-        for level in levels_to_test() {
+        for level in SimdLevel::available_levels() {
             let mut acc0 = vec![0i32; co_n];
             let mut acc1 = vec![0i32; co_n];
             gemv2(level, &x, &x, &pairs, &tail, &mut acc0, &mut acc1);
@@ -880,7 +739,7 @@ mod tests {
                     .collect();
                 for zx in [0u8, 3, 128, 255] {
                     let want = dw_reference(&x, &offs, zx, &wpairs, n);
-                    for level in levels_to_test() {
+                    for level in SimdLevel::available_levels() {
                         let mut acc = vec![7i32; n]; // dw_taps overwrites
                         dw_taps(level, &x, &offs, zx, &wpairs, &mut acc);
                         let got: Vec<i64> = acc.iter().map(|&a| a as i64).collect();
@@ -903,7 +762,7 @@ mod tests {
             for wv in [i16::MAX, i16::MIN + 1] {
                 let wpairs = vec![wv; taps * n];
                 let want = dw_reference(&x, &offs, zx, &wpairs, n);
-                for level in levels_to_test() {
+                for level in SimdLevel::available_levels() {
                     let mut acc = vec![0i32; n];
                     dw_taps(level, &x, &offs, zx, &wpairs, &mut acc);
                     let got: Vec<i64> = acc.iter().map(|&a| a as i64).collect();

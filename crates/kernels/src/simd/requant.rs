@@ -23,6 +23,14 @@
 //! tables, 255-entry `W8` tables where 255×2 linear compares would lose to 8
 //! binary-search probes), and for out-of-`i32`-range corrections.
 //!
+//! One hand-written backend per architecture:
+//!
+//! | level | lanes per step | backend |
+//! |---|---|---|
+//! | [`SimdLevel::Scalar`] | 1 | the [`Requantizer::apply`] loop (the reference) |
+//! | [`SimdLevel::Avx2`] | 4 | `vpmuldq` + `vpsrlv` bias-shift, `vpcmpgtq` compare-accumulate; `vpgatherqq` `QAdd` LUT |
+//! | [`SimdLevel::Neon`] | 2 | `vmull_s32` + `SSHL`, `vcle`/`vcge` compare-accumulate |
+//!
 //! [`apply_i32_block`] (the depthwise tap kernel's per-pixel epilogue)
 //! widens its `i32` accumulators in-register rather than staging them as
 //! `i64`; the lanes then run the same kernels as [`apply_phi_block`].
@@ -377,7 +385,7 @@ pub fn qadd_lut(
     assert_eq!(b.len(), out.len(), "b/out length mismatch");
     let done = match level {
         #[cfg(target_arch = "x86_64")]
-        // 4×64-bit gathers only pay on AVX2; at 128 bits (SSE2/NEON) the
+        // 4×64-bit gathers only pay on AVX2; at NEON's 128 bits the
         // scalar LUT loop is already load-bound and branch-free.
         // SAFETY: AVX2 positively detected (`level` comes from runtime
         // feature detection); LUT indices are u8 into [i64; 256].
@@ -410,9 +418,6 @@ fn vector_phi(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: see above.
         SimdLevel::Avx2 => unsafe { x86::phi_avx2(plan, c0, phis, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: see above.
-        SimdLevel::Sse2 => unsafe { x86::phi_sse2(plan, c0, phis, out) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: see above; NEON is baseline on aarch64.
         SimdLevel::Neon => unsafe { neon::phi_neon(plan, c0, phis, out) },
@@ -444,9 +449,6 @@ fn vector_gemm(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: see above.
         SimdLevel::Avx2 => unsafe { x86::gemm_avx2(plan, accs, sx, zx, zw, wbase, out) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: see above.
-        SimdLevel::Sse2 => unsafe { x86::gemm_sse2(plan, accs, sx, zx, zw, wbase, out) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: see above; NEON is baseline on aarch64.
         SimdLevel::Neon => unsafe { neon::gemm_neon(plan, accs, sx, zx, zw, wbase, out) },
@@ -466,79 +468,10 @@ fn corrections_fit_i32(sx: i64, zx: i64, zw: &[i64], wbase: &[i64]) -> bool {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    //! AVX2 backend: four 64-bit lanes per step.
+
     use super::{Phis, PlanKind, RequantPlan};
     use std::arch::x86_64::*;
-
-    /// `a > b` per 64-bit lane without SSE4.2's `pcmpgtq`: lanes are equal
-    /// on the high dword ⇒ borrow sign of `b − a`; otherwise the signed
-    /// high-dword compare decides. Broadcast dwords 1,3 over each qword.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn cmpgt64_sse2(a: __m128i, b: __m128i) -> __m128i {
-        let r = _mm_and_si128(_mm_cmpeq_epi32(a, b), _mm_sub_epi64(b, a));
-        let r = _mm_or_si128(r, _mm_cmpgt_epi32(a, b));
-        _mm_shuffle_epi32(_mm_srai_epi32(r, 31), 0b11_11_01_01)
-    }
-
-    /// Lane-masked select: `mask ? b : a` (mask lanes all-ones or all-zero).
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn blend64_sse2(a: __m128i, b: __m128i, mask: __m128i) -> __m128i {
-        _mm_or_si128(_mm_and_si128(mask, b), _mm_andnot_si128(mask, a))
-    }
-
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn clamp64_sse2(x: __m128i, lo: __m128i, hi: __m128i) -> __m128i {
-        let x = blend64_sse2(x, hi, cmpgt64_sse2(x, hi));
-        blend64_sse2(x, lo, cmpgt64_sse2(lo, x))
-    }
-
-    /// Signed 32×32→64 multiply of the low dwords of each qword:
-    /// unsigned `pmuludq` plus the two's-complement correction
-    /// `(a·sign(b) + b·sign(a)) << 32` (the slli discards the garbage the
-    /// sign masks leave in odd dwords).
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn mul_lo32_sse2(a: __m128i, b: __m128i) -> __m128i {
-        let prod = _mm_mul_epu32(a, b);
-        let corr = _mm_add_epi32(
-            _mm_and_si128(a, _mm_srai_epi32(b, 31)),
-            _mm_and_si128(b, _mm_srai_epi32(a, 31)),
-        );
-        _mm_sub_epi64(prod, _mm_slli_epi64(corr, 32))
-    }
-
-    /// Per-lane logical right shift (SSE2's `psrlq` only takes one count).
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn srl64_var_sse2(x: __m128i, s0: i64, s1: i64) -> __m128i {
-        let r0 = _mm_srl_epi64(x, _mm_cvtsi32_si128(s0 as i32));
-        let r1 = _mm_srl_epi64(x, _mm_cvtsi32_si128(s1 as i32));
-        _mm_castpd_si128(_mm_shuffle_pd(
-            _mm_castsi128_pd(r0),
-            _mm_castsi128_pd(r1),
-            0b10,
-        ))
-    }
-
-    /// Widens 2 consecutive `i32`s to 2 `i64` lanes.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn widen2_sse2(p: *const i32) -> __m128i {
-        let v = _mm_loadl_epi64(p as *const __m128i);
-        _mm_unpacklo_epi32(v, _mm_srai_epi32(v, 31))
-    }
-
-    /// `Φ` lanes `i..i + 2` as `i64` (caller keeps `i + 2 ≤ phis.len()`).
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn load2_sse2(phis: Phis<'_>, i: usize) -> __m128i {
-        match phis {
-            Phis::Wide(p) => _mm_loadu_si128(p.as_ptr().add(i) as *const __m128i),
-            Phis::Narrow(p) => widen2_sse2(p.as_ptr().add(i)),
-        }
-    }
 
     /// `Φ` lanes `i..i + 4` as `i64` (caller keeps `i + 4 ≤ phis.len()`).
     #[inline]
@@ -567,15 +500,6 @@ mod x86 {
         for (j, &l) in lanes.iter().enumerate() {
             *out.add(j) = l as u8;
         }
-    }
-
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn store2_codes(v: __m128i, out: *mut u8) {
-        let mut lanes = [0i64; 2];
-        _mm_storeu_si128(lanes.as_mut_ptr() as *mut __m128i, v);
-        *out = lanes[0] as u8;
-        *out.add(1) = lanes[1] as u8;
     }
 
     /// One 4-lane fixed-point requant: `clamp(zy + asr(m0·sat32(Φ + bq),
@@ -638,60 +562,6 @@ mod x86 {
         _mm256_blendv_epi8(cnt, konstv, emptyv)
     }
 
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn fixed_lanes_sse2(
-        phi: __m128i,
-        bq: *const i32,
-        m0: *const i32,
-        shift: *const i64,
-        sbias: *const i64,
-        zyv: __m128i,
-        qmaxv: __m128i,
-    ) -> __m128i {
-        let i32lo = _mm_set1_epi64x(i32::MIN as i64);
-        let i32hi = _mm_set1_epi64x(i32::MAX as i64);
-        let minv = _mm_set1_epi64x(i64::MIN);
-        let v = clamp64_sse2(_mm_add_epi64(phi, widen2_sse2(bq)), i32lo, i32hi);
-        let prod = mul_lo32_sse2(v, widen2_sse2(m0));
-        let (s0, s1) = (*shift, *shift.add(1));
-        let shifted = _mm_sub_epi64(
-            srl64_var_sse2(_mm_xor_si128(prod, minv), s0, s1),
-            _mm_loadu_si128(sbias as *const __m128i),
-        );
-        let r = clamp64_sse2(shifted, i32lo, i32hi);
-        clamp64_sse2(_mm_add_epi64(zyv, r), _mm_setzero_si128(), qmaxv)
-    }
-
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn thresh_lanes_sse2(
-        phi: __m128i,
-        c: usize,
-        co: usize,
-        len: usize,
-        thr_t: *const i64,
-        flip: *const i64,
-        empty: *const i64,
-        konst: *const i64,
-    ) -> __m128i {
-        let ones = _mm_set1_epi64x(-1);
-        let flipv = _mm_loadu_si128(flip.add(c) as *const __m128i);
-        let mut cnt = _mm_setzero_si128();
-        for t in 0..len {
-            let thr = _mm_loadu_si128(thr_t.add(t * co + c) as *const __m128i);
-            let le = _mm_xor_si128(cmpgt64_sse2(thr, phi), ones);
-            let ge = _mm_xor_si128(cmpgt64_sse2(phi, thr), ones);
-            let sel = blend64_sse2(le, ge, flipv);
-            cnt = _mm_sub_epi64(cnt, sel);
-        }
-        let emptyv = _mm_loadu_si128(empty.add(c) as *const __m128i);
-        let konstv = _mm_loadu_si128(konst.add(c) as *const __m128i);
-        blend64_sse2(cnt, konstv, emptyv)
-    }
-
     /// Precomputed-`Φ` entry, AVX2 (4 channels per iteration).
     pub unsafe fn phi_avx2(plan: &RequantPlan, c0: usize, phis: Phis<'_>, out: &mut [u8]) -> usize {
         phi_avx2_impl(plan, c0, phis, out)
@@ -752,72 +622,6 @@ mod x86 {
                         konst.as_ptr(),
                     );
                     store4_codes(code, out.as_mut_ptr().add(i));
-                }
-            }
-        }
-        n
-    }
-
-    /// Precomputed-`Φ` entry, SSE2 (2 channels per iteration).
-    pub unsafe fn phi_sse2(plan: &RequantPlan, c0: usize, phis: Phis<'_>, out: &mut [u8]) -> usize {
-        phi_sse2_impl(plan, c0, phis, out)
-    }
-
-    #[target_feature(enable = "sse2")]
-    unsafe fn phi_sse2_impl(
-        plan: &RequantPlan,
-        c0: usize,
-        phis: Phis<'_>,
-        out: &mut [u8],
-    ) -> usize {
-        let n = phis.len() & !1;
-        let zyv = _mm_set1_epi64x(plan.zy);
-        let qmaxv = _mm_set1_epi64x(plan.qmax);
-        let co = plan.channels();
-        match &plan.kind {
-            PlanKind::Fixed {
-                bq,
-                m0,
-                shift,
-                sbias,
-                ..
-            } => {
-                for i in (0..n).step_by(2) {
-                    let c = c0 + i;
-                    let phi = load2_sse2(phis, i);
-                    let code = fixed_lanes_sse2(
-                        phi,
-                        bq.as_ptr().add(c),
-                        m0.as_ptr().add(c),
-                        shift.as_ptr().add(c),
-                        sbias.as_ptr().add(c),
-                        zyv,
-                        qmaxv,
-                    );
-                    store2_codes(code, out.as_mut_ptr().add(i));
-                }
-            }
-            PlanKind::Thresh {
-                len,
-                thr_t,
-                flip,
-                empty,
-                konst,
-                ..
-            } => {
-                for i in (0..n).step_by(2) {
-                    let phi = load2_sse2(phis, i);
-                    let code = thresh_lanes_sse2(
-                        phi,
-                        c0 + i,
-                        co,
-                        *len,
-                        thr_t.as_ptr(),
-                        flip.as_ptr(),
-                        empty.as_ptr(),
-                        konst.as_ptr(),
-                    );
-                    store2_codes(code, out.as_mut_ptr().add(i));
                 }
             }
         }
@@ -900,84 +704,6 @@ mod x86 {
                 ),
             };
             store4_codes(code, out.as_mut_ptr().add(i));
-        }
-        n
-    }
-
-    /// Fused GEMM-row entry, SSE2. The `pmuludq` + sign-correction pair
-    /// multiplies the low dwords of the widened correction lanes.
-    pub unsafe fn gemm_sse2(
-        plan: &RequantPlan,
-        accs: &[i32],
-        sx: i64,
-        zx: i64,
-        zw: &[i64],
-        wbase: &[i64],
-        out: &mut [u8],
-    ) -> usize {
-        gemm_sse2_impl(plan, accs, sx, zx, zw, wbase, out)
-    }
-
-    #[target_feature(enable = "sse2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn gemm_sse2_impl(
-        plan: &RequantPlan,
-        accs: &[i32],
-        sx: i64,
-        zx: i64,
-        zw: &[i64],
-        wbase: &[i64],
-        out: &mut [u8],
-    ) -> usize {
-        let n = accs.len() & !1;
-        let zyv = _mm_set1_epi64x(plan.zy);
-        let qmaxv = _mm_set1_epi64x(plan.qmax);
-        let sxv = _mm_set1_epi64x(sx);
-        let zxv = _mm_set1_epi64x(zx);
-        let co = plan.channels();
-        for i in (0..n).step_by(2) {
-            let acc = widen2_sse2(accs.as_ptr().add(i));
-            let zwv = _mm_loadu_si128(zw.as_ptr().add(i) as *const __m128i);
-            let bv = _mm_loadu_si128(wbase.as_ptr().add(i) as *const __m128i);
-            let phi = _mm_sub_epi64(
-                _mm_sub_epi64(acc, mul_lo32_sse2(zwv, sxv)),
-                mul_lo32_sse2(bv, zxv),
-            );
-            let code = match &plan.kind {
-                PlanKind::Fixed {
-                    bq,
-                    m0,
-                    shift,
-                    sbias,
-                    ..
-                } => fixed_lanes_sse2(
-                    phi,
-                    bq.as_ptr().add(i),
-                    m0.as_ptr().add(i),
-                    shift.as_ptr().add(i),
-                    sbias.as_ptr().add(i),
-                    zyv,
-                    qmaxv,
-                ),
-                PlanKind::Thresh {
-                    len,
-                    thr_t,
-                    flip,
-                    empty,
-                    konst,
-                    ..
-                } => thresh_lanes_sse2(
-                    phi,
-                    i,
-                    co,
-                    *len,
-                    thr_t.as_ptr(),
-                    flip.as_ptr(),
-                    empty.as_ptr(),
-                    konst.as_ptr(),
-                ),
-            };
-            store2_codes(code, out.as_mut_ptr().add(i));
         }
         n
     }
@@ -1228,18 +954,6 @@ mod tests {
         *seed >> 33
     }
 
-    fn levels() -> Vec<SimdLevel> {
-        [
-            SimdLevel::Scalar,
-            SimdLevel::Sse2,
-            SimdLevel::Avx2,
-            SimdLevel::Neon,
-        ]
-        .into_iter()
-        .filter(|l| l.available())
-        .collect()
-    }
-
     fn random_icn(seed: u64, co: usize, bits: BitWidth) -> Requantizer {
         let mut s = seed;
         let bq: Vec<i32> = (0..co).map(|_| lcg(&mut s) as i32 % 100_000).collect();
@@ -1276,7 +990,7 @@ mod tests {
     fn check_phi_all_levels(req: &Requantizer, phis: &[i64]) {
         let plan = RequantPlan::new(req);
         let co = req.channels();
-        for lv in levels() {
+        for lv in SimdLevel::available_levels() {
             for c0 in [0usize, 1, 3] {
                 if c0 + phis.len().min(co - c0) > co {
                     continue;
@@ -1383,7 +1097,7 @@ mod tests {
                 let phi = accs[c] as i64 - zw[c] * sx - zx * wbase[c];
                 want[c] = req.apply(c, phi, &mut r_ref, &mut c_ref);
             }
-            for lv in levels() {
+            for lv in SimdLevel::available_levels() {
                 let (mut r_got, mut c_got) = (0u64, 0u64);
                 let mut got = vec![0u8; co];
                 apply_gemm_row(
@@ -1408,7 +1122,7 @@ mod tests {
             let phi = accs[c] as i64 - zw[c] * 3;
             want[c] = req.apply(c, phi, &mut r0, &mut c0);
         }
-        for lv in levels() {
+        for lv in SimdLevel::available_levels() {
             let (mut r1, mut c1) = (0u64, 0u64);
             let mut got = vec![0u8; 6];
             apply_gemm_row(
@@ -1430,7 +1144,7 @@ mod tests {
         for (c, w) in want.iter_mut().enumerate() {
             *w = req.apply(c, accs[c] as i64, &mut r_ref, &mut c_ref);
         }
-        for lv in levels() {
+        for lv in SimdLevel::available_levels() {
             let (mut r_got, mut c_got) = (0u64, 0u64);
             let mut got = vec![0u8; 130];
             apply_i32_block(&plan, &req, lv, 0, &accs, &mut got, &mut r_got, &mut c_got);
@@ -1455,7 +1169,7 @@ mod tests {
         for i in 0..103 {
             want[i] = (zy + lut_a[a[i] as usize] + lut_b[b[i] as usize]).clamp(0, qmax) as u8;
         }
-        for lv in levels() {
+        for lv in SimdLevel::available_levels() {
             let mut got = vec![0u8; 103];
             qadd_lut(lv, &lut_a, &lut_b, &a, &b, zy, qmax, &mut got);
             assert_eq!(got, want, "qadd differs at {lv:?}");

@@ -197,10 +197,10 @@ fn unpack_codes(bytes: &[u8], bits: BitWidth, out: &mut [u8]) {
 
 /// 128-bit nibble/crumb interleave kernels.
 ///
-/// One SSE2-instruction kernel serves every x86_64 (AVX2 adds nothing for
-/// 16-byte shuffle work — the cross-lane `vpunpck` semantics of 256-bit
-/// registers would cost extra permutes for no bandwidth win), and NEON
-/// mirrors it on aarch64. All kernels process whole 16-byte output (pack)
+/// One SSE2-instruction kernel serves the x86_64 AVX2 level (AVX2 adds
+/// nothing for 16-byte shuffle work — the cross-lane `vpunpck` semantics
+/// of 256-bit registers would cost extra permutes for no bandwidth win),
+/// and NEON mirrors it on aarch64. All kernels process whole 16-byte output (pack)
 /// or input (unpack) blocks and leave the remainder to the scalar loops.
 #[allow(unsafe_code)]
 mod simd {
@@ -208,7 +208,8 @@ mod simd {
     use crate::BitWidth;
 
     /// Whether the SIMD kernels should run: the active level is a vector
-    /// one, which implies the CPU has the baseline vector ISA.
+    /// one (AVX2 or NEON), which implies the CPU has the baseline vector
+    /// ISA (SSE2 or NEON) these kernels use.
     pub(super) fn enabled() -> bool {
         active_level() != SimdLevel::Scalar
     }

@@ -14,7 +14,8 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// A vector instruction level the host kernels can run at.
+/// A vector instruction level the host kernels can run at: one
+/// hand-written backend per architecture, plus the portable loops.
 ///
 /// Ordered from the always-available scalar fallback up; the enum is
 /// defined on every architecture (so labels, CLI flags and JSON stamps
@@ -22,10 +23,9 @@ use std::sync::OnceLock;
 /// [`SimdLevel::available`] and fall back to scalar if dispatched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
-    /// Portable scalar loops — always available.
+    /// Portable scalar loops — always available. A pre-AVX2 x86_64 host
+    /// runs these, auto-vectorized at the SSE2 baseline.
     Scalar,
-    /// x86_64 SSE2: 128-bit `pmaddwd` over zero-extended bytes.
-    Sse2,
     /// x86_64 AVX2: 256-bit `vpmaddwd` over zero-extended bytes.
     Avx2,
     /// aarch64 NEON: `vld2`/`vmull_u8` widening multiply-accumulate.
@@ -33,11 +33,19 @@ pub enum SimdLevel {
 }
 
 impl SimdLevel {
+    /// The levels the running CPU can execute, scalar first: the list
+    /// every bit-identity test sweeps.
+    pub fn available_levels() -> Vec<SimdLevel> {
+        [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Neon]
+            .into_iter()
+            .filter(|l| l.available())
+            .collect()
+    }
+
     /// Stable lowercase label (bench JSON, `--help` text, log lines).
     pub fn label(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
-            SimdLevel::Sse2 => "sse2",
             SimdLevel::Avx2 => "avx2",
             SimdLevel::Neon => "neon",
         }
@@ -47,8 +55,6 @@ impl SimdLevel {
     pub fn available(self) -> bool {
         match self {
             SimdLevel::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Sse2 => is_x86_feature_detected!("sse2"),
             #[cfg(target_arch = "x86_64")]
             SimdLevel::Avx2 => is_x86_feature_detected!("avx2"),
             #[cfg(target_arch = "aarch64")]
@@ -61,18 +67,16 @@ impl SimdLevel {
     fn to_code(self) -> u8 {
         match self {
             SimdLevel::Scalar => 1,
-            SimdLevel::Sse2 => 2,
-            SimdLevel::Avx2 => 3,
-            SimdLevel::Neon => 4,
+            SimdLevel::Avx2 => 2,
+            SimdLevel::Neon => 3,
         }
     }
 
     fn from_code(code: u8) -> Option<SimdLevel> {
         match code {
             1 => Some(SimdLevel::Scalar),
-            2 => Some(SimdLevel::Sse2),
-            3 => Some(SimdLevel::Avx2),
-            4 => Some(SimdLevel::Neon),
+            2 => Some(SimdLevel::Avx2),
+            3 => Some(SimdLevel::Neon),
             _ => None,
         }
     }
@@ -84,10 +88,11 @@ static FORCED: AtomicU8 = AtomicU8::new(0);
 static DETECTED: OnceLock<SimdLevel> = OnceLock::new();
 
 /// The level runtime feature detection picked for this process: the
-/// widest available backend, or [`SimdLevel::Scalar`] when the
-/// `MIXQ_FORCE_SCALAR` environment variable is set to anything but `0`
-/// (the escape hatch CI uses to keep the fallback path exercised).
-/// Detected once and cached.
+/// architecture's hand-written backend when the CPU has it (AVX2 on
+/// x86_64, NEON on aarch64), otherwise [`SimdLevel::Scalar`] — which is
+/// also forced when the `MIXQ_FORCE_SCALAR` environment variable is set
+/// to anything but `0` (the escape hatch CI uses to keep the fallback
+/// path exercised). Detected once and cached.
 pub fn detected_level() -> SimdLevel {
     *DETECTED.get_or_init(|| {
         let forced_scalar =
@@ -97,8 +102,6 @@ pub fn detected_level() -> SimdLevel {
         }
         if SimdLevel::Avx2.available() {
             SimdLevel::Avx2
-        } else if SimdLevel::Sse2.available() {
-            SimdLevel::Sse2
         } else if SimdLevel::Neon.available() {
             SimdLevel::Neon
         } else {

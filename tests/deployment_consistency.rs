@@ -321,11 +321,12 @@ fn modeled_cycles_invariant_under_host_execution_settings() {
     // modeled cycles must never move.
     let mut settings: Vec<(Option<SimdLevel>, usize)> =
         vec![(None, 1), (Some(SimdLevel::Scalar), 2), (None, 4)];
-    for level in [SimdLevel::Sse2, SimdLevel::Avx2, SimdLevel::Neon] {
-        if level.available() {
-            settings.push((Some(level), 1));
-            settings.push((Some(level), 2));
-        }
+    for level in SimdLevel::available_levels()
+        .into_iter()
+        .filter(|&l| l != SimdLevel::Scalar)
+    {
+        settings.push((Some(level), 1));
+        settings.push((Some(level), 2));
     }
     for (forced, threads) in settings {
         let (logits, ops) = walk(forced, threads);

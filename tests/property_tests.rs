@@ -419,10 +419,7 @@ proptest! {
         let reference = conv.execute(&x, &mut ref_ops);
         let (codes, _) = conv.prepack(KernelChoice::DirectConv);
         for cache in [None, codes.as_ref()] {
-            for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2, SimdLevel::Neon] {
-                if !level.available() {
-                    continue;
-                }
+            for level in SimdLevel::available_levels() {
                 simd::set_forced(Some(level));
                 let mut ops = OpCounts::default();
                 let y = common::run_kernel(&conv, KernelChoice::DirectConv, cache, &x, &mut ops);
@@ -934,10 +931,10 @@ proptest! {
                                           with_skip, true, zx, seed);
         simd::set_forced(Some(SimdLevel::Scalar));
         let scalar = g.run(xb.clone());
-        for level in [SimdLevel::Sse2, SimdLevel::Avx2, SimdLevel::Neon] {
-            if !level.available() {
-                continue;
-            }
+        let vector_levels = SimdLevel::available_levels()
+            .into_iter()
+            .filter(|&l| l != SimdLevel::Scalar);
+        for level in vector_levels {
             simd::set_forced(Some(level));
             let vec_run = g.run(xb.clone());
             simd::set_forced(None);
@@ -1057,11 +1054,7 @@ proptest! {
             out_ref[j] = req.apply(c0 + j, phi, &mut rq_ref, &mut tc_ref);
         }
 
-        for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2,
-                      SimdLevel::Neon] {
-            if !level.available() {
-                continue;
-            }
+        for level in SimdLevel::available_levels() {
             let mut out = vec![0u8; n];
             let (mut rq, mut tc) = (0u64, 0u64);
             vreq::apply_phi_block(&plan, &req, level, c0, &phis[..n],
