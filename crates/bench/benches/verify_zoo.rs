@@ -169,7 +169,7 @@ fn forged_row(case: &str, violations: &[Violation]) -> String {
 fn forged_cases() -> Vec<String> {
     let mut rows = Vec::new();
 
-    // An im2col row one element past the gemv2 dispatch contract:
+    // An im2col row one element past the blocked GEMM's MAX_DOT_LEN contract:
     // arithmetically still safe (32769·255·255 < 2^31), so exactly one
     // violation — the contract, not the arithmetic.
     let (_, v) = check_dot_geometry("conv_forged", 40000, 32769, 255, 255);

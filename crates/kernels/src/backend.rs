@@ -46,7 +46,7 @@
 //!     }
 //!     fn select(&self, op: &AnyOp, _inputs: &[Shape], _in_bits: &[BitWidth]) -> KernelChoice {
 //!         match op {
-//!             AnyOp::Conv(c) if !c.weights().is_depthwise() => KernelChoice::BlockedGemm,
+//!             AnyOp::Conv(c) if c.blocked_supported() => KernelChoice::BlockedGemm,
 //!             _ => KernelChoice::DirectConv,
 //!         }
 //!     }
@@ -156,8 +156,9 @@ impl Backend for ReferenceBackend {
 /// register-blocked GEMM ([`KernelChoice::BlockedGemm`]) whenever the
 /// modeled cycle cost — per-MAC rate plus the im2col expansion traffic —
 /// beats the direct loop, and the im2col scratch fits
-/// [`TiledBackend::scratch_limit_bytes`]. Depthwise convolutions, pooling,
-/// the head and residual adds stay direct (their only implementation).
+/// [`TiledBackend::scratch_limit_bytes`]. Depthwise convolutions, patches
+/// longer than [`MAX_DOT_LEN`](crate::simd::MAX_DOT_LEN), pooling, the
+/// head and residual adds stay direct (their only implementation).
 ///
 /// The per-MAC rates are [`DIRECT_MAC_CYCLES`] and [`BLOCKED_MAC_CYCLES`],
 /// the same constants `CortexM7CycleModel`'s defaults price executed
@@ -193,7 +194,7 @@ impl Backend for TiledBackend {
         let AnyOp::Conv(conv) = op else {
             return KernelChoice::DirectConv;
         };
-        if conv.weights().is_depthwise() {
+        if !conv.blocked_supported() {
             return KernelChoice::DirectConv;
         }
         let input = inputs[0];

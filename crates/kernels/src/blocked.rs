@@ -14,18 +14,22 @@
 //!   bare **u8 × u8** multiply–accumulate with no per-element offset
 //!   arithmetic (exact in integers: the expansion is algebraic identity,
 //!   making the path **bit-identical** to the direct kernel);
-//! * **channel-vectorized dual-row GEMV** — two im2col rows at a time run
-//!   [`simd::gemv2`] against the pair-interleaved weight panel, producing
-//!   *every* output channel's 32-bit accumulator in one sweep: the vector
-//!   axis is the output-channel dimension, so the kernel reaches full
-//!   SIMD width even on the tiny `k ∈ {4..128}` patches of a
-//!   width-scaled MobileNet (a `k`-axis formulation starves there), and
-//!   every weight byte loaded serves two rows;
-//! * **runtime-dispatched SIMD** — [`crate::simd`] picks AVX2
-//!   widening `vpmaddwd` on x86_64 or NEON widening multiply-accumulate on
-//!   aarch64, with the portable scalar loop as the always-available
-//!   fallback. Integer sums are order-independent, so every level is
-//!   bit-identical;
+//! * **channel-vectorized GEMM** — the vector axis is the output-channel
+//!   dimension of the pair-interleaved weight panel, so the kernel reaches
+//!   full SIMD width even on the tiny `k ∈ {4..128}` patches of a
+//!   width-scaled MobileNet (a `k`-axis formulation starves there);
+//! * **one backend per architecture** — on AVX2,
+//!   [`simd::requant::apply_gemm_rows`] register-blocks 4 im2col rows ×
+//!   16 channels, keeps the `i32` accumulators in ymm registers over the
+//!   whole `k` (every weight byte loaded serves four rows) and
+//!   requantizes each tile in-register; NEON and the portable scalar
+//!   loop run the dual-row [`simd::gemv2`] with the per-row
+//!   [`simd::requant::apply_gemm_row`] epilogue. Integer sums are
+//!   order-independent, so every level is bit-identical;
+//! * **one `i32` accumulation per patch** — `k ≤` [`MAX_DOT_LEN`] keeps
+//!   even an all-255 dot product exact in `i32`; a layer with a longer
+//!   patch does not support [`KernelChoice::BlockedGemm`](crate::KernelChoice::BlockedGemm)
+//!   and runs the direct loop;
 //! * **pointwise identity fast path** — for 1×1 stride-1 convolutions the
 //!   im2col matrix *is* the input in NHWC order, so the expansion is a
 //!   borrow of the packed bytes (8-bit input) or one linear unpack
@@ -52,7 +56,7 @@ use crate::threadpool::{split_rows, ThreadPool};
 use crate::{OpCounts, QActivation, QConv2d, Requantizer};
 
 /// The prepacked operand of the blocked GEMM: the layer's decoded u8
-/// weight codes in the pair-interleaved order [`simd::gemv2`] streams,
+/// weight codes in the pair-interleaved order its kernels stream,
 /// plus the per-channel hoisted zero-point terms — built **once** from a
 /// layer's packed weights instead of on every call.
 ///
@@ -107,11 +111,6 @@ impl PackedPanels {
     /// Output channels covered.
     pub fn out_channels(&self) -> usize {
         self.sumw.len()
-    }
-
-    /// Per-channel `Σ W` (feeds the hoisted `Zx·Σ W − k·Zx·Zw` term).
-    pub fn sumw(&self) -> &[i64] {
-        &self.sumw
     }
 
     /// The pair-interleaved panel bytes (benches time the GEMV directly).
@@ -203,6 +202,15 @@ impl QConv2d {
             k,
         }
     }
+    /// Whether the blocked GEMM can run this layer at all: a standard
+    /// convolution whose patch `k = k_h·k_w·c_i` stays within
+    /// [`MAX_DOT_LEN`], the bound its `i32` accumulators are proven for.
+    /// Depthwise layers and longer patches run the direct loop.
+    pub fn blocked_supported(&self) -> bool {
+        !self.weights().is_depthwise()
+            && self.geometry().kernel_area() * self.weights().in_channels() <= MAX_DOT_LEN
+    }
+
     /// Whether the blocked kernel would borrow the input's packed storage
     /// **zero-copy** instead of materializing an im2col (or linear-unpack)
     /// scratch buffer: a standard 1×1 stride-1 convolution over an 8-bit
@@ -289,8 +297,10 @@ impl QConv2d {
     /// Gathers the im2col rows starting at `r_lo` into `out` (whose
     /// length picks the row count) and returns the non-padded load tally.
     /// `flat` holds the input codes one per byte in NHWC order (the 8-bit
-    /// tensor's own bytes or a staged sub-byte decode): each valid tap
-    /// copies one contiguous channel span; padded taps fill with `Zx`.
+    /// tensor's own bytes or a staged sub-byte decode): a kernel row whose
+    /// `kw` taps are all in bounds copies its one contiguous `kw·c_i`
+    /// span, any other valid tap its channel span; padded taps fill with
+    /// `Zx`.
     fn im2col_rows(
         &self,
         x: &QActivation,
@@ -306,22 +316,34 @@ impl QConv2d {
         let c = in_shape.c;
         let zx = x.zero_point();
         let mut loads = 0u64;
+        let span = g.kw * c;
         for (row_out, (n, oy, ox)) in out.chunks_exact_mut(k).zip(pixels_from(out_shape, r_lo)) {
-            let mut col = 0usize;
-            for ky in 0..g.kh {
+            let ix0 = (ox * g.stride) as isize - pl as isize;
+            let x_ok = ix0 >= 0 && ix0 + g.kw as isize <= in_shape.w as isize;
+            for (ky, kernel_row) in row_out.chunks_exact_mut(span).enumerate() {
                 let iy = (oy * g.stride + ky) as isize - pt as isize;
-                let y_ok = iy >= 0 && iy < in_shape.h as isize;
-                for kx in 0..g.kw {
-                    let ix = (ox * g.stride + kx) as isize - pl as isize;
-                    let span = &mut row_out[col..col + c];
-                    if !y_ok || ix < 0 || ix >= in_shape.w as isize {
-                        span.fill(zx);
+                if iy < 0 || iy >= in_shape.h as isize {
+                    kernel_row.fill(zx);
+                    continue;
+                }
+                let base = ((n * in_shape.h + iy as usize) * in_shape.w) as isize;
+                if x_ok {
+                    // Every tap of this kernel row is in bounds: its `kw`
+                    // channel spans are one contiguous NHWC run.
+                    loads += span as u64;
+                    let lo = (base + ix0) as usize * c;
+                    kernel_row.copy_from_slice(&flat[lo..lo + span]);
+                    continue;
+                }
+                for (kx, tap) in kernel_row.chunks_exact_mut(c).enumerate() {
+                    let ix = ix0 + kx as isize;
+                    if ix < 0 || ix >= in_shape.w as isize {
+                        tap.fill(zx);
                     } else {
                         loads += c as u64;
-                        let base = ((n * in_shape.h + iy as usize) * in_shape.w + ix as usize) * c;
-                        span.copy_from_slice(&flat[base..base + c]);
+                        let lo = (base + ix) as usize * c;
+                        tap.copy_from_slice(&flat[lo..lo + c]);
                     }
-                    col += c;
                 }
             }
         }
@@ -331,7 +353,8 @@ impl QConv2d {
     /// Runs the layer through the blocked GEMM against a prepacked weight
     /// panel built once by [`QConv2d::prepack_panels`], drawing the im2col
     /// (or sub-byte linear-unpack) expansion from `data_scratch` and the
-    /// 32-bit accumulators from `acc_scratch` (both cleared and resized in
+    /// `i32` kernel scratch (AVX2 widened rows, or the portable loop's
+    /// accumulator rows) from `acc_scratch` (both cleared and resized in
     /// place). Output codes are bit-identical to the direct kernel's, and
     /// steady-state calls allocate nothing once the three buffers reach
     /// capacity. Callers go through
@@ -342,14 +365,15 @@ impl QConv2d {
     /// output split into contiguous row blocks through `split_rows`,
     /// one per worker, inside this single node execution. Worker counts
     /// (including none) are bit-identical: every row's arithmetic is the
-    /// serial GEMV's, rows are disjoint, each worker owns a disjoint
-    /// `2·c_o` slice of `acc_scratch`, and the shared ledger is a sum of
-    /// per-worker counts over disjoint ranges.
+    /// serial GEMM's, rows are disjoint, each worker owns a disjoint slice
+    /// of `acc_scratch`, and the shared ledger is a sum of per-worker
+    /// counts over disjoint ranges.
     ///
     /// # Panics
     ///
-    /// Panics on depthwise layers, on an input channel mismatch, or if the
-    /// panels were built for a different patch length or channel count.
+    /// Panics on depthwise layers, on an input channel mismatch, on a
+    /// patch longer than [`MAX_DOT_LEN`], or if the panels were built for
+    /// a different patch length or channel count.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn execute_blocked(
         &self,
@@ -372,7 +396,6 @@ impl QConv2d {
         let g = self.geometry();
         let k = g.kernel_area() * in_shape.c;
         let rows = out_shape.pixels() * out_shape.n;
-        let zx = x.zero_point() as i64;
         let per_channel = weights.offset().is_per_channel();
         let w_unpack = weights.needs_unpack() as u64;
         let co_n = weights.out_channels();
@@ -412,28 +435,28 @@ impl QConv2d {
         let requant = self.requant();
         let plan = self.plan();
         let level = simd::active_level();
-        // Each row block runs the serial GEMV over its own output rows and
-        // its own `2·c_o` accumulator slice; requant/threshold tallies are
+        // Each row block runs the serial GEMM over its own output rows and
+        // its own scratch slice; requant/threshold tallies are
         // data-dependent, so each block counts locally.
         split_rows(
             pool,
             rows,
             out_codes,
             acc_scratch,
-            2 * co_n,
+            blocked_scratch_len(k, co_n),
             ops,
-            |lo, hi, out, acc, tally| {
+            |lo, hi, out, scratch, tally| {
                 blocked_rows(
                     requant,
                     plan,
                     panels,
                     data,
-                    zx,
+                    x.zero_point(),
                     level,
                     lo,
                     hi,
                     out,
-                    acc,
+                    scratch,
                     &mut tally.requants,
                     &mut tally.threshold_cmps,
                 );
@@ -463,213 +486,93 @@ pub fn im2col_scratch_bytes(conv: &QConv2d, input: Shape) -> usize {
     out.pixels() * out.n * k
 }
 
-/// The dual-row GEMV sweep over im2col rows `[r_lo, r_hi)`: the row core
-/// `split_rows` runs serially or per worker (structural bit-identity —
-/// both run exactly this). `out` holds the rows' output
-/// range, starting at row `r_lo`; `acc` is the caller's `2·c_o`
-/// accumulator scratch. Row pairing never crosses the range boundary, so
-/// any contiguous split reproduces the full-range codes.
+/// The GEMM over im2col rows `[r_lo, r_hi)` into `out` (those rows'
+/// codes), run serially or per worker by `split_rows` with a
+/// [`blocked_scratch_len`] slice of `scratch`: the AVX2 register-blocked
+/// kernel, else the dual-row [`simd::gemv2`] loop. Row blocks never cross
+/// the range boundary, so any contiguous split gives the same codes.
 #[allow(clippy::too_many_arguments)]
 fn blocked_rows(
     requant: &Requantizer,
     plan: &RequantPlan,
     panels: &PackedPanels,
     data: &[u8],
-    zx: i64,
+    zx: u8,
     level: SimdLevel,
     r_lo: usize,
     r_hi: usize,
     out: &mut [u8],
-    acc: &mut [i32],
+    scratch: &mut [i32],
     requants: &mut u64,
     threshold_cmps: &mut u64,
 ) {
     let k = panels.k;
     let co_n = panels.sumw.len();
-    let zw = &panels.zw;
-    let wbase = &panels.base;
-    // Hot per-block path: these stay `debug_assert` because both lengths
-    // are established on the cold setup path above (the hard
-    // `data.len() == rows * k` / `rows.len() == co_n * k` asserts in
-    // `execute_blocked` and `prepack_panels`) and by the
-    // caller-side slice partitioning; `mixq-verify` re-checks the same
-    // geometry statically per graph (`check_dot_geometry`).
-    debug_assert_eq!(out.len(), (r_hi - r_lo) * co_n);
-    debug_assert_eq!(acc.len(), 2 * co_n);
-    let (acc0, acc1) = acc.split_at_mut(co_n);
-
-    // Patches longer than the i32 accumulation bound take the cold
-    // chunked path (real layers never do: k = k_h·k_w·c_i).
-    if k > MAX_DOT_LEN {
-        return blocked_rows_long(
-            requant,
-            plan,
-            panels,
-            data,
-            zx,
-            level,
-            r_lo,
-            r_hi,
-            out,
-            requants,
-            threshold_cmps,
-        );
+    let x = &data[r_lo * k..r_hi * k];
+    if simd::requant::apply_gemm_rows(
+        plan,
+        requant,
+        level,
+        panels,
+        x,
+        zx,
+        scratch,
+        out,
+        requants,
+        threshold_cmps,
+    ) {
+        return;
     }
 
     // Per-channel hoisted terms: acc = Σ X·W − Zw·Σ X − Zx·(Σ W − k·Zw),
     // the exact expansion of Σ (X − Zx)(W − Zw). `Σ W − k·Zw` is the
     // prepacked `base` table, so the input zero-point is the only
     // per-call ingredient.
-    let mut r = r_lo;
-    while r < r_hi {
-        let pair = r + 1 < r_hi;
-        let x0 = &data[r * k..r * k + k];
-        let x1 = if pair {
-            &data[(r + 1) * k..(r + 1) * k + k]
+    let (zw, wbase, zx) = (&panels.zw, &panels.base, zx as i64);
+    let (acc0, acc1) = scratch[..2 * co_n].split_at_mut(co_n);
+    for (r, out) in (r_lo..r_hi).step_by(2).zip(out.chunks_mut(2 * co_n)) {
+        // A trailing single row pairs with itself; only one output is kept.
+        let x0 = &data[r * k..(r + 1) * k];
+        let x1 = if out.len() > co_n {
+            &data[(r + 1) * k..(r + 2) * k]
         } else {
             x0
         };
-        let sx0 = simd::row_sum(level, x0);
-        let sx1 = if pair { simd::row_sum(level, x1) } else { 0 };
         acc0.fill(0);
         acc1.fill(0);
         simd::gemv2(level, x0, x1, &panels.pairs, &panels.tail, acc0, acc1);
-        // Fused vectorized epilogue: widen, fold the hoisted corrections
-        // and requantize in-vector (bit-identical to the per-element
-        // `Requantizer::apply` loop, same ledger totals).
-        let o0 = (r - r_lo) * co_n;
-        simd::requant::apply_gemm_row(
-            plan,
-            requant,
-            level,
-            acc0,
-            sx0,
-            zx,
-            zw,
-            wbase,
-            &mut out[o0..o0 + co_n],
-            requants,
-            threshold_cmps,
-        );
-        if pair {
+        for ((acc, x), out) in [(&*acc0, x0), (&*acc1, x1)]
+            .into_iter()
+            .zip(out.chunks_exact_mut(co_n))
+        {
+            let sx = simd::row_sum(level, x);
             simd::requant::apply_gemm_row(
                 plan,
                 requant,
                 level,
-                acc1,
-                sx1,
+                acc,
+                sx,
                 zx,
                 zw,
                 wbase,
-                &mut out[o0 + co_n..o0 + 2 * co_n],
+                out,
                 requants,
                 threshold_cmps,
             );
         }
-        r += if pair { 2 } else { 1 };
     }
 }
 
-/// Cold fallback for `k >` [`MAX_DOT_LEN`]: even-length column chunks of
-/// the pair-interleaved panel (each chunk a contiguous `pairs` range)
-/// accumulate in i32 and flush into per-channel `i64` totals between
-/// chunks. Same arithmetic, so still bit-identical; allocates its own
-/// wide scratch — acceptable off the steady-state path, since no
-/// convolution geometry in the networks reaches this patch length.
-#[allow(clippy::too_many_arguments)]
-fn blocked_rows_long(
-    requant: &Requantizer,
-    plan: &RequantPlan,
-    panels: &PackedPanels,
-    data: &[u8],
-    zx: i64,
-    level: SimdLevel,
-    r_lo: usize,
-    r_hi: usize,
-    out: &mut [u8],
-    requants: &mut u64,
-    threshold_cmps: &mut u64,
-) {
-    let k = panels.k;
-    let co_n = panels.sumw.len();
-    let zw = &panels.zw;
-    let wbase = &panels.base;
-    let chunk = MAX_DOT_LEN & !1;
-    let mut acc = vec![0i32; 2 * co_n];
-    let mut wide = vec![0i64; 2 * co_n];
-    let mut r = r_lo;
-    while r < r_hi {
-        let pair = r + 1 < r_hi;
-        let x0 = &data[r * k..r * k + k];
-        let x1 = if pair {
-            &data[(r + 1) * k..(r + 1) * k + k]
-        } else {
-            x0
-        };
-        let sx0 = simd::row_sum(level, x0);
-        let sx1 = if pair { simd::row_sum(level, x1) } else { 0 };
-        wide.fill(0);
-        let mut c0 = 0usize;
-        while c0 < k {
-            let c1 = (c0 + chunk).min(k);
-            let (acc0, acc1) = acc.split_at_mut(co_n);
-            acc0.fill(0);
-            acc1.fill(0);
-            // Column chunk [c0, c1): pairs are k-major, so the chunk's
-            // panel bytes are one contiguous range; the odd tail only
-            // exists at the true end of the patch.
-            let tail = if c1 == k { &panels.tail[..] } else { &[] };
-            simd::gemv2(
-                level,
-                &x0[c0..c1],
-                &x1[c0..c1],
-                &panels.pairs[(c0 / 2) * co_n * 2..(c1 / 2) * co_n * 2],
-                tail,
-                acc0,
-                acc1,
-            );
-            let (w0, w1) = wide.split_at_mut(co_n);
-            simd::requant::widen_accumulate(w0, acc0);
-            simd::requant::widen_accumulate(w1, acc1);
-            c0 = c1;
-        }
-        // Same overflow-proof fold + vectorized epilogue the hot path
-        // fuses inside `apply_gemm_row`, just staged through the wide
-        // totals the chunked accumulation requires.
-        let o0 = (r - r_lo) * co_n;
-        let (w0, w1) = wide.split_at_mut(co_n);
-        simd::requant::fold_corrections(w0, sx0, zx, zw, wbase);
-        simd::requant::apply_phi_block(
-            plan,
-            requant,
-            level,
-            0,
-            w0,
-            &mut out[o0..o0 + co_n],
-            requants,
-            threshold_cmps,
-        );
-        if pair {
-            simd::requant::fold_corrections(w1, sx1, zx, zw, wbase);
-            simd::requant::apply_phi_block(
-                plan,
-                requant,
-                level,
-                0,
-                w1,
-                &mut out[o0 + co_n..o0 + 2 * co_n],
-                requants,
-                threshold_cmps,
-            );
-        }
-        r += if pair { 2 } else { 1 };
-    }
+/// Per-part `i32` scratch of the blocked GEMM: the widened rows of one
+/// AVX2 register block, or the portable loop's two accumulator rows.
+fn blocked_scratch_len(k: usize, co_n: usize) -> usize {
+    (simd::requant::GEMM_ROWS * k.div_ceil(2)).max(2 * co_n)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{QConvWeights, WeightOffset};
+    use crate::{QConvWeights, ThresholdChannel, WeightOffset};
     use mixq_quant::{BitWidth, FixedPointMultiplier};
     use mixq_tensor::{ConvGeometry, Padding};
 
@@ -809,55 +712,146 @@ mod tests {
         }
     }
 
+    /// Deterministic pseudo-random bytes.
+    fn lcg_bytes(seed: u64, n: usize) -> Vec<u8> {
+        let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+        (0..n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) as u8
+            })
+            .collect()
+    }
+
+    /// The requantizers the GEMM epilogue must reproduce: ICN, W4
+    /// thresholds (ascending, descending and constant channels), and W8
+    /// thresholds, whose plan `vectorizable()` rejects.
+    fn gemm_requants(co: usize, k: usize) -> [Requantizer; 3] {
+        let m = |c: usize| (1.0 + c as f64 * 0.37) / (k as f64 * 2000.0);
+        let icn = Requantizer::icn(
+            (0..co).map(|c| c as i32 * 977 - 4000).collect(),
+            (0..co)
+                .map(|c| FixedPointMultiplier::from_real(m(c)))
+                .collect(),
+            3,
+            BitWidth::W4,
+        );
+        let thresholds = |bits: BitWidth| {
+            let channels = (0..co)
+                .map(|c| {
+                    let mc = match c % 5 {
+                        3 => -m(c),
+                        4 => 0.0,
+                        _ => m(c),
+                    };
+                    ThresholdChannel::from_affine(mc, c as i64 * 311 - 2000, 2, bits)
+                })
+                .collect();
+            Requantizer::thresholds(channels, 2, bits)
+        };
+        [icn, thresholds(BitWidth::W4), thresholds(BitWidth::W8)]
+    }
+
     #[test]
-    fn long_patch_chunked_path_matches_direct() {
-        // k = 3·3·ci can exceed MAX_DOT_LEN only at absurd widths; force
-        // the cold chunked path with a shrunken bound stand-in instead:
-        // compare the chunked fallback directly against the hot path on a
-        // normal layer (both must match the direct kernel bit-for-bit).
-        let conv = make_conv(3, 4, 3, 1, BitWidth::W8, true);
-        let x = make_input(5, 5, 4, BitWidth::W8, 2);
-        let panels = conv.prepack_panels();
-        let mut hot = Vec::new();
-        let mut ops = OpCounts::default();
-        let shape = conv.execute_blocked(
-            &panels,
-            &x,
-            &mut Vec::new(),
-            &mut Vec::new(),
-            &mut hot,
-            None,
-            &mut ops,
-        );
-        let rows = shape.pixels() * shape.n;
-        let mut cold = vec![0u8; rows * panels.out_channels()];
-        let (mut rq, mut tc) = (0u64, 0u64);
-        // Rebuild the im2col matrix the hot path consumed.
-        let mut data = Vec::new();
-        let mut scratch_ops = OpCounts::default();
-        conv.im2col_into(&x, &mut data, None, &mut scratch_ops);
-        blocked_rows_long(
-            conv.requant(),
-            conv.plan(),
-            &panels,
-            &data,
-            x.zero_point() as i64,
-            simd::active_level(),
-            0,
-            rows,
-            &mut cold,
-            &mut rq,
-            &mut tc,
-        );
-        assert_eq!(hot, cold, "chunked fallback diverges from hot path");
+    fn register_blocked_gemm_is_bit_identical_at_every_level() {
+        // Row ranges of 1..=9 rows (4-row blocks plus single rows, from
+        // the start and from the end of the matrix), every channel-tile
+        // shape (16- and 8-wide tiles, scalar remainders), odd and even
+        // patch lengths, and both weight zero-point forms — checked
+        // against the centred per-element Σ (X − Zx)(W − Zw) reference.
+        const ROWS: usize = 9;
+        for k in [1usize, 2, 3, 16, 27, 32, 64] {
+            for co in [1usize, 3, 7, 8, 9, 15, 16, 17, 24, 33] {
+                let wcodes = lcg_bytes((k * 100 + co) as u64, co * k);
+                for per_channel in [false, true] {
+                    let offset = if per_channel {
+                        WeightOffset::PerChannel((0..co).map(|c| (c * 53 % 256) as i16).collect())
+                    } else {
+                        WeightOffset::PerLayer(128)
+                    };
+                    let zw: Vec<i64> = (0..co).map(|c| offset.at(c) as i64).collect();
+                    let weights = QConvWeights::new(
+                        Shape::new(co, 1, 1, k),
+                        false,
+                        &wcodes,
+                        BitWidth::W8,
+                        offset,
+                    );
+                    for req in gemm_requants(co, k) {
+                        let conv = QConv2d::new(
+                            weights.clone(),
+                            ConvGeometry::new(1, 1, 1, Padding::Same),
+                            req.clone(),
+                        );
+                        assert_eq!(conv.plan().vectorizable(), req.out_bits() != BitWidth::W8);
+                        let panels = conv.prepack_panels();
+                        for zx in [0u8, 7, 255] {
+                            let x = lcg_bytes((k * co) as u64 + zx as u64, ROWS * k);
+                            let (mut rq, mut cm) = (0u64, 0u64);
+                            let want: Vec<u8> = (0..ROWS * co)
+                                .map(|i| {
+                                    let (r, c) = (i / co, i % co);
+                                    let phi: i64 = (0..k)
+                                        .map(|j| {
+                                            (x[r * k + j] as i64 - zx as i64)
+                                                * (wcodes[c * k + j] as i64 - zw[c])
+                                        })
+                                        .sum();
+                                    req.apply(c, phi, &mut rq, &mut cm)
+                                })
+                                .collect();
+                            for level in SimdLevel::available_levels() {
+                                for rows in 1..=ROWS {
+                                    for lo in [0, ROWS - rows] {
+                                        let mut out = vec![0u8; rows * co];
+                                        let mut scratch = vec![0i32; blocked_scratch_len(k, co)];
+                                        let (mut grq, mut gcm) = (0u64, 0u64);
+                                        blocked_rows(
+                                            &req,
+                                            conv.plan(),
+                                            &panels,
+                                            &x,
+                                            zx,
+                                            level,
+                                            lo,
+                                            lo + rows,
+                                            &mut out,
+                                            &mut scratch,
+                                            &mut grq,
+                                            &mut gcm,
+                                        );
+                                        let tag = format!(
+                                            "{level:?} k={k} co={co} pc={per_channel} zx={zx} \
+                                             bits={:?} rows {lo}..{}",
+                                            req.out_bits(),
+                                            lo + rows
+                                        );
+                                        assert_eq!(out, want[lo * co..(lo + rows) * co], "{tag}");
+                                        assert_eq!(
+                                            (grq * ROWS as u64, gcm * ROWS as u64),
+                                            (rq * rows as u64, cm * rows as u64),
+                                            "ledger {tag}"
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn pooled_split_is_bit_identical_to_serial() {
         // Worker counts from 1 (inline) past the row count (surplus
-        // workers idle) produce byte-identical codes and ledgers.
+        // workers idle) produce byte-identical codes and ledgers. 35
+        // rows split into blocks that are not multiples of the GEMM's
+        // 4-row register block.
         let conv = make_conv(5, 3, 3, 1, BitWidth::W4, true);
-        let x = make_input(6, 6, 3, BitWidth::W8, 3);
+        let x = make_input(7, 5, 3, BitWidth::W8, 3);
         let panels = conv.prepack_panels();
         let mut serial_codes = Vec::new();
         let mut serial_ops = OpCounts::default();

@@ -30,7 +30,7 @@
 //!
 //! Host-side execution speed is independent of that model: blocked-GEMM
 //! and depthwise nodes multiply-accumulate through the runtime-dispatched
-//! primitives in [`crate::simd`] (`gemv2`, `dw_taps`), and they and the
+//! primitives in [`crate::simd`] (the blocked GEMM, `dw_taps`), and they and the
 //! [`QAdd`] nodes requantize their accumulators
 //! through the vectorized epilogue in [`crate::simd::requant`] (and
 //! sub-byte activations pack/unpack through the SIMD kernels in
@@ -295,11 +295,13 @@ impl QOp for QConv2d {
     }
 
     fn supported_kernels(&self) -> &'static [KernelChoice] {
-        if self.weights().is_depthwise() {
-            // CMSIS-NN lowers depthwise directly; there is no im2col form.
-            &[KernelChoice::DirectConv]
-        } else {
+        if self.blocked_supported() {
             &[KernelChoice::DirectConv, KernelChoice::BlockedGemm]
+        } else {
+            // CMSIS-NN lowers depthwise directly (there is no im2col
+            // form), and a patch past `MAX_DOT_LEN` would overflow the
+            // GEMM's i32 accumulators.
+            &[KernelChoice::DirectConv]
         }
     }
 

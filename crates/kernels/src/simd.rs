@@ -15,25 +15,21 @@
 //!   whole patch: `k ≤ MAX_DOT_LEN` keeps even an all-255 row inside
 //!   `i32` (bounds proven per backend below).
 //!
-//! The core primitive is a **channel-vectorized dual-row GEMV**
-//! ([`gemv2`]): instead of vectorizing along the patch (`k`) axis — which
-//! starves on the small `k ∈ {4..128}` patches a width-scaled MobileNet
-//! actually has — it broadcasts two activation codes at a time and
-//! multiply-accumulates them against *all output channels at once*, using
-//! the pair-interleaved panel layout of
-//! [`PackedPanels`](crate::PackedPanels). Eight channels advance per
-//! vector op regardless of how small `k` is.
+//! The blocked GEMM vectorizes along the **output channels**: instead of
+//! the patch (`k`) axis — which starves on the small `k ∈ {4..128}`
+//! patches a width-scaled MobileNet actually has — it broadcasts two
+//! activation codes at a time and multiply-accumulates them against
+//! eight channels per vector op, using the pair-interleaved panel layout
+//! of [`PackedPanels`](crate::PackedPanels). Each architecture has one
+//! hand-written backend: AVX2 on x86_64, NEON on aarch64, and the
+//! portable loop everywhere else — including a pre-AVX2 x86_64 host,
+//! where LLVM auto-vectorizes it at the SSE2 baseline:
 //!
-//! Each architecture has one hand-written backend: AVX2 on x86_64, NEON
-//! on aarch64, and the portable loop everywhere else — including a
-//! pre-AVX2 x86_64 host, where LLVM auto-vectorizes it at the SSE2
-//! baseline. The dispatched backends:
-//!
-//! | level | arch | widening multiply-accumulate |
+//! | level | arch | blocked GEMM |
 //! |---|---|---|
-//! | [`SimdLevel::Scalar`] | any | portable dual-row channel loop (always available) |
-//! | [`SimdLevel::Avx2`] | x86_64 | `vpmovzxbw` + `vpmaddwd` (the `maddubs`-family widening multiply-add, minus its signed-saturating hazard: both operands are zero-extended to `i16`, so every pairwise product is exact) |
-//! | [`SimdLevel::Neon`] | aarch64 | `vld2` de-interleave + `vmull_u8` widening multiply |
+//! | [`SimdLevel::Scalar`] | any | portable dual-row [`gemv2`] channel loop (always available) |
+//! | [`SimdLevel::Avx2`] | x86_64 | register-blocked 4 rows × 16 channels ([`requant::apply_gemm_rows`]): rows widened once by `vpmovzxbw`, `vpmaddwd` into ymm accumulators held over the whole `k` (the `maddubs`-family widening multiply-add, minus its signed-saturating hazard: both operands are zero-extended to `i16`, so every pairwise product is exact), requantized in-register; bound `⌈k/2⌉·2·255² < 2³¹` |
+//! | [`SimdLevel::Neon`] | aarch64 | dual-row [`gemv2`]: `vld2` de-interleave + `vmull_u8` widening multiply |
 //!
 //! Depthwise convolution has no reduction over input channels, so it gets
 //! its own primitive, [`dw_taps`]: a **channel-vectorized dual-tap**
@@ -68,8 +64,9 @@ pub use mixq_quant::simd::{active_level, detected_level, set_forced, SimdLevel};
 
 pub mod requant;
 
-/// Largest patch length [`gemv2`] accepts per call: every channel's
-/// accumulator holds `Σ u8·u8` in `i32`, and `32768 · 255² < 2³¹`.
+/// Largest patch length the blocked GEMM accepts: every channel's `i32`
+/// accumulator holds `Σ u8·u8` over the whole patch, and `32768 · 255² <
+/// 2³¹`. Convolutions with longer patches run the direct loop.
 pub const MAX_DOT_LEN: usize = 32768;
 
 /// Largest depthwise kernel area (taps per output pixel) [`dw_taps`]
@@ -81,15 +78,11 @@ pub const MAX_DOT_LEN: usize = 32768;
 /// zero-points a converted network carries, `≤ MAX_DW_TAPS · 255²`.
 pub const MAX_DW_TAPS: usize = 32;
 
-/// `Σ x[i]` as an exact `i64` (the hoisted `Σ X` row term). Any length.
+/// `Σ x[i]` as an exact `i64` (the hoisted `Σ X` row term of the dual-row
+/// GEMM; the AVX2 GEMM sums while it widens). Any length.
 #[inline]
 pub fn row_sum(level: SimdLevel, x: &[u8]) -> i64 {
     match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `available()` was asserted when the level was forced, or
-        // the level came from runtime detection on this CPU — AVX2 is
-        // positively detected before dispatch.
-        SimdLevel::Avx2 => unsafe { x86::row_sum_avx2(x) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: NEON is baseline on aarch64.
         SimdLevel::Neon => unsafe { neon::row_sum_neon(x) },
@@ -115,11 +108,15 @@ pub fn row_sum(level: SimdLevel, x: &[u8]) -> i64 {
 /// from wrapping — so every backend returns the same integers and the
 /// caller's `i64` math sees exact sums.
 ///
+/// This is the portable and NEON GEMM; the AVX2 one is
+/// [`requant::apply_gemm_rows`], so an AVX2 `level` runs the portable loop.
+///
 /// # Panics
 ///
-/// Debug-asserts the layout invariants (`x0.len() == x1.len() == k ≤
-/// MAX_DOT_LEN`, `pairs.len() == (k/2)·c_o·2`, `tail.len() == c_o·(k&1)`,
-/// `acc0.len() == acc1.len() == c_o`).
+/// Panics unless `x0.len() == x1.len() == k ≤ MAX_DOT_LEN`,
+/// `pairs.len() == (k/2)·c_o·2`, `tail.len() == c_o·(k&1)` and
+/// `acc0.len() == acc1.len() == c_o` — the invariants the NEON backend's
+/// unchecked loads rely on.
 #[inline]
 pub fn gemv2(
     level: SimdLevel,
@@ -132,21 +129,28 @@ pub fn gemv2(
 ) {
     let k = x0.len();
     let co_n = acc0.len();
-    debug_assert!(k <= MAX_DOT_LEN);
-    debug_assert_eq!(x1.len(), k);
-    debug_assert_eq!(acc1.len(), co_n);
-    debug_assert_eq!(pairs.len(), (k / 2) * co_n * 2);
-    debug_assert_eq!(tail.len(), co_n * (k & 1));
+    check_panel(k, co_n, pairs, tail);
+    assert!(
+        x1.len() == k && acc1.len() == co_n,
+        "gemv2 rows and accumulators must match in length"
+    );
     match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: level is positively feature-detected (see `row_sum`).
-        SimdLevel::Avx2 => unsafe { x86::gemv2_avx2(x0, x1, pairs, tail, acc0, acc1) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: NEON is baseline on aarch64.
         SimdLevel::Neon => unsafe { neon::gemv2_neon(x0, x1, pairs, tail, acc0, acc1) },
         #[allow(unreachable_patterns)]
         _ => gemv2_scalar(x0, x1, pairs, tail, acc0, acc1),
     }
+}
+
+/// The panel contract of [`gemv2`] and [`requant::apply_gemm_rows`],
+/// checked in release builds too: the vector backends load unchecked.
+pub(crate) fn check_panel(k: usize, co_n: usize, pairs: &[u8], tail: &[u8]) {
+    assert!(k <= MAX_DOT_LEN, "patch length {k} exceeds MAX_DOT_LEN");
+    assert!(
+        pairs.len() == (k / 2) * co_n * 2 && tail.len() == co_n * (k & 1),
+        "weight panel does not match k = {k}, c_o = {co_n}"
+    );
 }
 
 /// The portable GEMV: one column pair broadcast over all channels, two
@@ -188,8 +192,9 @@ fn gemv2_scalar(
     }
 }
 
-/// Scalar channel-remainder helper for the vector backends: channels
+/// Scalar channel-remainder helper for the NEON backend: channels
 /// `[co_lo, co_n)` of the same pair-interleaved panel.
+#[cfg(target_arch = "aarch64")]
 fn gemv2_channel_tail(
     x0: &[u8],
     x1: &[u8],
@@ -308,37 +313,14 @@ fn dw_taps_channels(x: &[u8], offs: &[usize], zx: u8, wpairs: &[i16], j0: usize,
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! AVX2 backends. Overflow bound (per `i32` accumulator lane,
-    //! `k ≤ 32768`): each `vpmaddwd` adds one column pair
-    //! `≤ 2·255² = 130050`, so a full-length row contributes
-    //! `16384 · 130050 < 2³¹`. `vpsadbw` partials (`≤ 8·255`) accumulate
-    //! in 64-bit lanes.
+    //! AVX2 backends. Overflow bound of the GEMM tile (per `i32`
+    //! accumulator lane, `k ≤ 32768`): each `vpmaddwd` adds one column
+    //! pair `≤ 2·255² = 130050` (the odd-`k` tail word adds `≤ 255²`), so
+    //! a row contributes at most `⌈k/2⌉·2·255² ≤ 16384 · 130050 < 2³¹`.
 
-    use super::{dw_taps_channels, gemv2_channel_tail};
+    use super::dw_taps_channels;
     #[allow(clippy::wildcard_imports)]
     use std::arch::x86_64::*;
-
-    /// # Safety
-    /// Caller must have detected AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn row_sum_avx2(x: &[u8]) -> i64 {
-        let n = x.len();
-        let mut acc = _mm256_setzero_si256();
-        let zero = _mm256_setzero_si256();
-        let mut i = 0;
-        while i + 32 <= n {
-            let v = _mm256_loadu_si256(x.as_ptr().add(i) as *const __m256i);
-            acc = _mm256_add_epi64(acc, _mm256_sad_epu8(v, zero));
-            i += 32;
-        }
-        let mut lanes = [0i64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-        let mut total: i64 = lanes.iter().sum();
-        for &v in &x[i..] {
-            total += v as i64;
-        }
-        total
-    }
 
     /// # Safety
     /// Caller must have detected AVX2; bounds as checked in [`super::dw_taps`].
@@ -428,86 +410,82 @@ mod x86 {
         _mm_storeu_si128(acc.as_mut_ptr().add(j) as *mut __m128i, a);
     }
 
-    /// Column pairs per splat-buffer chunk: both rows' pre-packed
-    /// broadcast words fit comfortably on the stack (2 × 256 × 4 bytes).
-    const PAIR_CHUNK: usize = 256;
-
+    /// Widens one im2col row into broadcastable pair words and returns
+    /// its sum `Σ x`: `xs[p]` holds `x[2p]` in its low and `x[2p + 1]` in
+    /// its high `i16`, one `vpmovzxbw` per 16 bytes, summed by a
+    /// `vpmaddwd` against ones. An odd `k` ends with the word `(x[k−1],
+    /// 0)`, so the tail is one more `vpmaddwd` against `(w, 0)` pairs.
+    ///
     /// # Safety
-    /// Caller must have detected AVX2; layout invariants as in [`super::gemv2`].
+    /// Caller must have detected AVX2 and keep `xs.len() == ⌈x.len()/2⌉`.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn gemv2_avx2(
-        x0: &[u8],
-        x1: &[u8],
+    pub unsafe fn widen_pairs_avx2(x: &[u8], xs: &mut [i32]) -> i64 {
+        // Lane sums stay below 2·255·k/16 < 2²⁰ for k ≤ MAX_DOT_LEN.
+        let ones = _mm256_set1_epi16(1);
+        let mut sums = _mm256_setzero_si256();
+        let mut i = 0;
+        while i + 16 <= x.len() {
+            let w = _mm256_cvtepu8_epi16(_mm_loadu_si128(x.as_ptr().add(i) as *const __m128i));
+            _mm256_storeu_si256(xs.as_mut_ptr().add(i / 2) as *mut __m256i, w);
+            sums = _mm256_add_epi32(sums, _mm256_madd_epi16(w, ones));
+            i += 16;
+        }
+        let mut lanes = [0i32; 8];
+        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, sums);
+        let mut total: i64 = lanes.iter().map(|&v| v as i64).sum();
+        for (w, p) in xs[i / 2..].iter_mut().zip(x[i..].chunks(2)) {
+            let hi = p.get(1).map_or(0, |&b| b as i32);
+            *w = p[0] as i32 | hi << 16;
+            total += (p[0] as i32 + hi) as i64;
+        }
+        total
+    }
+
+    /// The register tile of the blocked GEMM: `R` rows × `8·V` channels
+    /// from `ct`, every `i32` accumulator held in a ymm register across the
+    /// whole `k`. Row `r`'s widened pair words start at `xs[r·kw]`
+    /// ([`widen_pairs_avx2`]); each column pair loads `V` 16-byte weight
+    /// slices of the pair-interleaved panel once, zero-extends them and
+    /// serves all `R` rows with one `vpmaddwd` each. The odd-`k` tail
+    /// loads its weights with `vpmovzxbd` as `(w, 0)` pairs.
+    ///
+    /// # Safety
+    /// Caller must have detected AVX2, keep `ct + 8·V ≤ co_n` and
+    /// `xs.len() ≥ R·kw` with `kw = ⌈k/2⌉`, and pass the panel layout
+    /// [`super::gemv2`] checks (`pairs.len() == (k/2)·co_n·2`,
+    /// `tail.len() == co_n·(k & 1)`).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn dot_tile_avx2<const R: usize, const V: usize>(
+        xs: &[i32],
+        k: usize,
         pairs: &[u8],
         tail: &[u8],
-        acc0: &mut [i32],
-        acc1: &mut [i32],
-    ) {
-        let k = x0.len();
-        let co_n = acc0.len();
-        let co8 = co_n & !7;
-        let wp = pairs.as_ptr();
-        // Pack each row's activation pairs into broadcast-ready i32 words
-        // once per chunk (not once per channel tile): the inner loop is
-        // then pure vpbroadcastd-from-memory + vpmaddwd + vpaddd, with the
-        // weight load shared by both rows. Accumulators live in registers
-        // across each chunk (safe — see the module overflow bound) and in
-        // `acc` between chunks.
-        let mut xs0 = [0i32; PAIR_CHUNK];
-        let mut xs1 = [0i32; PAIR_CHUNK];
-        let mut p0 = 0usize;
-        while p0 < k / 2 {
-            let pn = (k / 2 - p0).min(PAIR_CHUNK);
-            for p in 0..pn {
-                let i = (p0 + p) * 2;
-                xs0[p] = (x0[i] as i32) | ((x0[i + 1] as i32) << 16);
-                xs1[p] = (x1[i] as i32) | ((x1[i + 1] as i32) << 16);
+        co_n: usize,
+        ct: usize,
+    ) -> [[__m256i; V]; R] {
+        let kw = k.div_ceil(2);
+        let mut acc = [[_mm256_setzero_si256(); V]; R];
+        for p in 0..kw {
+            let mut w = [_mm256_setzero_si256(); V];
+            for (v, wv) in w.iter_mut().enumerate() {
+                let c = ct + 8 * v;
+                *wv = if p < k / 2 {
+                    let wp = pairs.as_ptr().add((p * co_n + c) * 2) as *const __m128i;
+                    _mm256_cvtepu8_epi16(_mm_loadu_si128(wp))
+                } else {
+                    _mm256_cvtepu8_epi32(_mm_loadl_epi64(tail.as_ptr().add(c) as *const __m128i))
+                };
             }
-            let mut ct = 0;
-            while ct < co8 {
-                let mut a0 = _mm256_loadu_si256(acc0.as_ptr().add(ct) as *const __m256i);
-                let mut a1 = _mm256_loadu_si256(acc1.as_ptr().add(ct) as *const __m256i);
-                for p in 0..pn {
-                    // 16 bytes = 8 channels' (w₂ₚ, w₂ₚ₊₁) pairs,
-                    // zero-extended to 16 i16 lanes; pmaddwd against the
-                    // broadcast activation pair yields one i32 per channel.
-                    let w = _mm256_cvtepu8_epi16(_mm_loadu_si128(
-                        wp.add(((p0 + p) * co_n + ct) * 2) as *const __m128i,
-                    ));
-                    a0 = _mm256_add_epi32(a0, _mm256_madd_epi16(_mm256_set1_epi32(xs0[p]), w));
-                    a1 = _mm256_add_epi32(a1, _mm256_madd_epi16(_mm256_set1_epi32(xs1[p]), w));
+            for (r, a) in acc.iter_mut().enumerate() {
+                let b = _mm256_set1_epi32(*xs.as_ptr().add(r * kw + p));
+                for (av, &wv) in a.iter_mut().zip(&w) {
+                    *av = _mm256_add_epi32(*av, _mm256_madd_epi16(b, wv));
                 }
-                _mm256_storeu_si256(acc0.as_mut_ptr().add(ct) as *mut __m256i, a0);
-                _mm256_storeu_si256(acc1.as_mut_ptr().add(ct) as *mut __m256i, a1);
-                ct += 8;
-            }
-            p0 += pn;
-        }
-        if k & 1 == 1 {
-            // Odd last column: zero-extend 8 tail weights to i32 lanes and
-            // multiply by the broadcast activation.
-            let xa = _mm256_set1_epi32(x0[k - 1] as i32);
-            let xb = _mm256_set1_epi32(x1[k - 1] as i32);
-            let mut ct = 0;
-            while ct < co8 {
-                let wt =
-                    _mm256_cvtepu8_epi32(_mm_loadl_epi64(tail.as_ptr().add(ct) as *const __m128i));
-                let a0 = _mm256_loadu_si256(acc0.as_ptr().add(ct) as *const __m256i);
-                let a1 = _mm256_loadu_si256(acc1.as_ptr().add(ct) as *const __m256i);
-                _mm256_storeu_si256(
-                    acc0.as_mut_ptr().add(ct) as *mut __m256i,
-                    _mm256_add_epi32(a0, _mm256_mullo_epi32(wt, xa)),
-                );
-                _mm256_storeu_si256(
-                    acc1.as_mut_ptr().add(ct) as *mut __m256i,
-                    _mm256_add_epi32(a1, _mm256_mullo_epi32(wt, xb)),
-                );
-                ct += 8;
             }
         }
-        if co8 < co_n {
-            gemv2_channel_tail(x0, x1, pairs, tail, co8, acc0, acc1);
-        }
+        acc
     }
 }
 
@@ -689,25 +667,90 @@ mod tests {
 
     #[test]
     fn saturating_values_stay_exact() {
-        // All-255 operands at a long odd length: the case a maddubs-style
-        // saturating path (or a u16 accumulator) would corrupt — the
-        // zero-extended formulation must stay exact.
-        let k = 8193;
-        let co_n = 16;
-        let x = vec![255u8; k];
-        let w: Vec<Vec<u8>> = (0..co_n).map(|_| vec![255u8; k]).collect();
-        let (pairs, tail) = interleave(&w, k);
-        let want = (k as i64) * 255 * 255;
-        for level in SimdLevel::available_levels() {
-            let mut acc0 = vec![0i32; co_n];
-            let mut acc1 = vec![0i32; co_n];
-            gemv2(level, &x, &x, &pairs, &tail, &mut acc0, &mut acc1);
-            for co in 0..co_n {
-                assert_eq!(acc0[co] as i64, want, "{level:?} co={co}");
-                assert_eq!(acc1[co] as i64, want, "{level:?} co={co}");
+        // All-255 operands at the longest patch the contract admits and at
+        // an odd length: the case a maddubs-style saturating path (or a
+        // u16 accumulator) would corrupt — the zero-extended formulation
+        // must stay exact in the dual-row loop and in the register-blocked
+        // GEMM (whose 15 threshold steps at want − 7 ..= want + 7 give
+        // code 8 exactly when Φ is exact).
+        use crate::{QConv2d, QConvWeights, Requantizer, ThresholdChannel, WeightOffset};
+        use mixq_quant::BitWidth;
+        use mixq_tensor::{ConvGeometry, Padding, Shape};
+        let co_n = 25;
+        for k in [MAX_DOT_LEN - 1, MAX_DOT_LEN] {
+            let want = (k as i64) * 255 * 255;
+            let step = ThresholdChannel::from_affine(1.0, 8 - want, 0, BitWidth::W4);
+            let weights = QConvWeights::new(
+                Shape::new(co_n, 1, 1, k),
+                false,
+                &vec![255u8; co_n * k],
+                BitWidth::W8,
+                WeightOffset::PerLayer(0),
+            );
+            let conv = QConv2d::new(
+                weights,
+                ConvGeometry::new(1, 1, 1, Padding::Same),
+                Requantizer::thresholds(vec![step; co_n], 0, BitWidth::W4),
+            );
+            let panels = conv.prepack_panels();
+            let rows = 5;
+            let x = vec![255u8; rows * k];
+            for level in SimdLevel::available_levels() {
+                let mut acc0 = vec![0i32; co_n];
+                let mut acc1 = vec![0i32; co_n];
+                gemv2(
+                    level,
+                    &x[..k],
+                    &x[k..2 * k],
+                    panels.pairs(),
+                    panels.tail(),
+                    &mut acc0,
+                    &mut acc1,
+                );
+                for co in 0..co_n {
+                    assert_eq!(acc0[co] as i64, want, "{level:?} co={co}");
+                    assert_eq!(acc1[co] as i64, want, "{level:?} co={co}");
+                }
+                assert_eq!(row_sum(level, &x[..k]), k as i64 * 255, "{level:?}");
+
+                let mut out = vec![0u8; rows * co_n];
+                let mut xs = vec![0i32; requant::GEMM_ROWS * k.div_ceil(2)];
+                let (mut rq, mut cm) = (0u64, 0u64);
+                let fused = requant::apply_gemm_rows(
+                    conv.plan(),
+                    conv.requant(),
+                    level,
+                    &panels,
+                    &x,
+                    0,
+                    &mut xs,
+                    &mut out,
+                    &mut rq,
+                    &mut cm,
+                );
+                assert_eq!(fused, level == SimdLevel::Avx2, "{level:?}");
+                if fused {
+                    assert!(out.iter().all(|&c| c == 8), "{level:?} k={k}");
+                }
             }
-            assert_eq!(row_sum(level, &x), k as i64 * 255, "{level:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "weight panel")]
+    fn gemv2_rejects_mis_sized_panel() {
+        // k = 4 over 8 channels needs 32 pair bytes; 30 would read past
+        // the panel in the unchecked vector loads.
+        let (mut acc0, mut acc1) = ([0i32; 8], [0i32; 8]);
+        gemv2(
+            detected_level(),
+            &[1u8; 4],
+            &[1u8; 4],
+            &[0u8; 30],
+            &[],
+            &mut acc0,
+            &mut acc1,
+        );
     }
 
     /// Reference depthwise sum for `dw_taps`: plain `i64` arithmetic.

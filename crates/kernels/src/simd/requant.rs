@@ -16,20 +16,25 @@
 //!
 //! Layout: [`RequantPlan`] is a SIMD-friendly transposition of a
 //! [`Requantizer`] built once per layer ([`crate::QConv2d::new`] owns one).
-//! The entry points ([`apply_gemm_row`], [`apply_phi_block`],
-//! [`apply_i32_block`], [`qadd_lut`]) take an explicit [`SimdLevel`] and fall
-//! back to the scalar `Requantizer::apply` loop for remainder lanes, for
-//! plans the vector kernels cannot express (`N0 > 31`, odd-length threshold
-//! tables, 255-entry `W8` tables where 255×2 linear compares would lose to 8
-//! binary-search probes), and for out-of-`i32`-range corrections.
+//! The entry points ([`apply_gemm_rows`], [`apply_gemm_row`],
+//! [`apply_phi_block`], [`apply_i32_block`], [`qadd_lut`]) take an explicit
+//! [`SimdLevel`] and fall back to the scalar `Requantizer::apply` loop for
+//! remainder lanes, for plans the vector kernels cannot express (`N0 > 31`,
+//! odd-length threshold tables, 255-entry `W8` tables where 255×2 linear
+//! compares would lose to 8 binary-search probes), and for
+//! out-of-`i32`-range corrections.
 //!
 //! One hand-written backend per architecture:
 //!
 //! | level | lanes per step | backend |
 //! |---|---|---|
 //! | [`SimdLevel::Scalar`] | 1 | the [`Requantizer::apply`] loop (the reference) |
-//! | [`SimdLevel::Avx2`] | 4 | `vpmuldq` + `vpsrlv` bias-shift, `vpcmpgtq` compare-accumulate; `vpgatherqq` `QAdd` LUT |
+//! | [`SimdLevel::Avx2`] | 4 | `vpmuldq` + `vpsrlv` bias-shift, `vpcmpgtq` compare-accumulate, `vpermd` + `vpackus` code packing; `vpgatherqq` `QAdd` LUT |
 //! | [`SimdLevel::Neon`] | 2 | `vmull_s32` + `SSHL`, `vcle`/`vcge` compare-accumulate |
+//!
+//! On AVX2 the blocked GEMM's epilogue is fused into its register tiles
+//! ([`apply_gemm_rows`]); NEON and the portable loop requantize one row at
+//! a time ([`apply_gemm_row`]).
 //!
 //! [`apply_i32_block`] (the depthwise tap kernel's per-pixel epilogue)
 //! widens its `i32` accumulators in-register rather than staging them as
@@ -41,7 +46,9 @@
 //!   `i32` clamp. x86 has no 64-bit arithmetic shift right, so we use the
 //!   bias trick `asr(x, s) = ((x ^ 2^63) >>ᵤ s) − (2^63 >>ᵤ s)` (exact for
 //!   `s ∈ [0, 63]`, wrapping subtract); NEON's `SSHL` with a negative count
-//!   is already a truncating arithmetic right shift.
+//!   is already a truncating arithmetic right shift. The AVX2 lanes drop
+//!   that `i32` clamp, which the final `[0, qmax]` clamp implies (proof at
+//!   `fixed_lanes_avx2`).
 //! * `ThresholdChannel::eval` is a binary search whose result equals the
 //!   number of thresholds `≤ Φ` (ascending) or `≥ Φ` (descending) — the
 //!   tables are monotone, so a branchless compare-accumulate over all
@@ -50,6 +57,7 @@
 
 use crate::requant::Requantizer;
 use crate::simd::SimdLevel;
+use crate::PackedPanels;
 
 /// The accumulators a requantization block reads: precomputed `i64`
 /// `Φ`s, or `i32` accumulators (`Φ = acc as i64`) that the vector kernels
@@ -312,12 +320,10 @@ fn apply_block(
     }
 }
 
-/// The fused blocked-GEMM row epilogue: for every output channel `c`,
-/// computes `Φ = acc[c] − zw[c]·sx − zx·wbase[c]` (the hoisted zero-point
-/// correction of Eq. 4) and requantizes it, all in-vector — the single
-/// overflow-proof widen-correct-requant entry point both GEMM epilogues
-/// share (the long-`k` path reaches it via [`widen_accumulate`] +
-/// [`fold_corrections`] + [`apply_phi_block`]).
+/// The blocked-GEMM row epilogue of the portable and NEON GEMM: for every
+/// output channel `c`, computes `Φ = acc[c] − zw[c]·sx − zx·wbase[c]` (the
+/// hoisted zero-point correction of Eq. 4) and requantizes it, in-vector
+/// on NEON (AVX2 requantizes inside [`apply_gemm_rows`]).
 ///
 /// Covers the full channel range (`accs.len() == plan.channels()`).
 #[allow(clippy::too_many_arguments)]
@@ -347,23 +353,67 @@ pub fn apply_gemm_row(
     }
 }
 
-/// Flushes a block of `i32` GEMV accumulators into `i64` wide totals — the
-/// shared widening step of the hot epilogue (in-vector inside
-/// [`apply_gemm_row`]) and the long-`k` chunked path.
-pub fn widen_accumulate(wide: &mut [i64], acc: &[i32]) {
-    debug_assert_eq!(wide.len(), acc.len());
-    for (w, &a) in wide.iter_mut().zip(acc) {
-        *w += a as i64;
-    }
-}
+/// Rows per register block of the AVX2 GEMM ([`apply_gemm_rows`]).
+pub const GEMM_ROWS: usize = 4;
 
-/// In-place hoisted zero-point correction over wide accumulators:
-/// `phi[c] −= zw[c]·sx + zx·wbase[c]` (Eq. 4). Exact in `i64` for any `k`.
-pub fn fold_corrections(phi: &mut [i64], sx: i64, zx: i64, zw: &[i64], wbase: &[i64]) {
-    debug_assert_eq!(phi.len(), zw.len());
-    debug_assert_eq!(phi.len(), wbase.len());
-    for (c, p) in phi.iter_mut().enumerate() {
-        *p -= zw[c] * sx + zx * wbase[c];
+/// The register-blocked AVX2 GEMM with in-register requantization (the
+/// PULP-NN MatMul shape, Bruschi et al. 2020): im2col rows `x` (`rows ×
+/// k`) against a layer's [`PackedPanels`] into `rows × c_o` codes, with
+/// `xs` as the widened-row scratch.
+///
+/// Returns `false`, touching nothing, unless `level` is AVX2 and the plan
+/// [`RequantPlan::vectorizable`]: the caller then runs the bit-identical
+/// portable loop ([`crate::simd::gemv2`] + [`apply_gemm_row`]).
+///
+/// # Panics
+///
+/// Panics unless `x` holds `out.len() / c_o` rows of `k` codes, the plan
+/// covers the panels' channels, `xs` holds `GEMM_ROWS·⌈k/2⌉` words, and
+/// the panels meet the [`crate::simd::gemv2`] contract (`k ≤
+/// MAX_DOT_LEN`) — checked once per call, in release builds too.
+#[allow(clippy::too_many_arguments)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub fn apply_gemm_rows(
+    plan: &RequantPlan,
+    req: &Requantizer,
+    level: SimdLevel,
+    panels: &PackedPanels,
+    x: &[u8],
+    zx: u8,
+    xs: &mut [i32],
+    out: &mut [u8],
+    requants: &mut u64,
+    cmps: &mut u64,
+) -> bool {
+    let (k, co_n) = (panels.k(), panels.out_channels());
+    crate::simd::check_panel(k, co_n, panels.pairs(), panels.tail());
+    let fits = xs.len() >= GEMM_ROWS * k.div_ceil(2);
+    assert!(
+        co_n > 0 && co_n == plan.channels() && co_n == req.channels() && fits,
+        "plan, panels and scratch must match"
+    );
+    assert!(
+        out.len() % co_n == 0 && x.len() == out.len() / co_n * k,
+        "x must hold one row of k codes per output row"
+    );
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 if plan.vectorizable() => {
+            // SAFETY: AVX2 is positively detected (`level` comes from
+            // runtime detection) and the layout was checked above.
+            // `k ≤ MAX_DOT_LEN` keeps the `i32` tile lanes exact (the
+            // `crate::simd` x86 bound) and makes every correction operand
+            // fit `i32`: `sx ≤ 255·k < 2²³`, `zw` is a widened `i16`, and
+            // `|wbase| = |Σw − k·zw| ≤ k·(255 + 2¹⁵) < 2³¹` (`PackedPanels`
+            // builds both tables) — so the 32×32→64 `vpmuldq` corrections
+            // are exact, decided once per call. `vectorizable()` bounds
+            // shifts and tables as in `vector_phi`.
+            unsafe {
+                x86::gemm_rows_avx2(plan, req, panels, x, zx as i64, xs, out, requants, cmps)
+            };
+            true
+        }
+        _ => false,
     }
 }
 
@@ -425,8 +475,10 @@ fn vector_phi(
     }
 }
 
-/// Dispatches the fused GEMM-row vector kernel (see [`apply_gemm_row`]).
+/// Dispatches the fused GEMM-row vector kernel (see [`apply_gemm_row`]):
+/// NEON only, since AVX2 requantizes inside [`apply_gemm_rows`].
 #[allow(clippy::too_many_arguments)]
+#[cfg_attr(not(target_arch = "aarch64"), allow(unused_variables))]
 fn vector_gemm(
     plan: &RequantPlan,
     level: SimdLevel,
@@ -437,30 +489,25 @@ fn vector_gemm(
     wbase: &[i64],
     out: &mut [u8],
 ) -> usize {
-    if !plan.vectorizable() || !corrections_fit_i32(sx, zx, zw, wbase) {
-        return 0;
-    }
-    // SAFETY (all arms): the ISA is positively detected — `level` comes
-    // from runtime feature detection. `plan.vectorizable()` and
-    // `corrections_fit_i32` (both checked above; the latter recomputed per
-    // graph by `mixq-verify`) guarantee expressible shifts/tables and that
-    // every 32×32→64 correction operand fits `i32`.
     match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: see above.
-        SimdLevel::Avx2 => unsafe { x86::gemm_avx2(plan, accs, sx, zx, zw, wbase, out) },
         #[cfg(target_arch = "aarch64")]
-        // SAFETY: see above; NEON is baseline on aarch64.
-        SimdLevel::Neon => unsafe { neon::gemm_neon(plan, accs, sx, zx, zw, wbase, out) },
+        // SAFETY: NEON is baseline on aarch64. `plan.vectorizable()`
+        // guarantees expressible shifts/tables and `corrections_fit_i32`
+        // (recomputed per graph by `mixq-verify`) that every 32×32→64
+        // correction operand fits `i32`.
+        SimdLevel::Neon if plan.vectorizable() && corrections_fit_i32(sx, zx, zw, wbase) => unsafe {
+            neon::gemm_neon(plan, accs, sx, zx, zw, wbase, out)
+        },
         _ => 0,
     }
 }
 
-/// The fused kernels compute `zw·sx` and `zx·wbase` as 32×32→64
+/// The NEON row epilogue computes `zw·sx` and `zx·wbase` as 32×32→64
 /// multiplies, so every operand must fit `i32`. Always true on the blocked
 /// path (`k ≤ MAX_DOT_LEN` bounds `sx ≤ 255k` and `|wbase| ≤ 2^15·k`; `zw`
 /// is a widened `u8`/`i16`; `zx` a `u8`) — the scan keeps an exotic caller
 /// correct by falling back to scalar instead of silently wrapping.
+#[cfg(target_arch = "aarch64")]
 fn corrections_fit_i32(sx: i64, zx: i64, zw: &[i64], wbase: &[i64]) -> bool {
     let fits = |v: i64| v >= i32::MIN as i64 && v <= i32::MAX as i64;
     fits(sx) && fits(zx) && zw.iter().copied().all(fits) && wbase.iter().copied().all(fits)
@@ -468,21 +515,46 @@ fn corrections_fit_i32(sx: i64, zx: i64, zw: &[i64], wbase: &[i64]) -> bool {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! AVX2 backend: four 64-bit lanes per step.
+    //! AVX2 backend: four 64-bit lanes per step, and the register-blocked
+    //! GEMM whose tiles requantize straight out of their registers.
 
-    use super::{Phis, PlanKind, RequantPlan};
+    use super::{Phis, PlanKind, RequantPlan, GEMM_ROWS};
+    use crate::requant::Requantizer;
+    use crate::simd::x86::{dot_tile_avx2, widen_pairs_avx2};
+    use crate::PackedPanels;
     use std::arch::x86_64::*;
 
-    /// `Φ` lanes `i..i + 4` as `i64` (caller keeps `i + 4 ≤ phis.len()`).
+    /// `Φ` lanes `i..i + 4` as `i64`.
+    ///
+    /// # Safety
+    /// AVX2 detected; `i + 4 ≤ phis.len()`.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn load4_avx2(phis: Phis<'_>, i: usize) -> __m256i {
         match phis {
-            Phis::Wide(p) => _mm256_loadu_si256(p.as_ptr().add(i) as *const __m256i),
-            Phis::Narrow(p) => {
-                _mm256_cvtepi32_epi64(_mm_loadu_si128(p.as_ptr().add(i) as *const __m128i))
-            }
+            Phis::Wide(p) => load_i64x4(p.as_ptr().add(i)),
+            Phis::Narrow(p) => widen4_avx2(p.as_ptr().add(i)),
         }
+    }
+
+    /// Four consecutive `i32`s sign-extended to `i64` lanes.
+    ///
+    /// # Safety
+    /// AVX2 detected; `p..p + 4` readable.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn widen4_avx2(p: *const i32) -> __m256i {
+        _mm256_cvtepi32_epi64(_mm_loadu_si128(p as *const __m128i))
+    }
+
+    /// Four consecutive `i64`s.
+    ///
+    /// # Safety
+    /// AVX2 detected; `p..p + 4` readable.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load_i64x4(p: *const i64) -> __m256i {
+        _mm256_loadu_si256(p as *const __m256i)
     }
 
     #[inline]
@@ -492,44 +564,58 @@ mod x86 {
         _mm256_blendv_epi8(x, lo, _mm256_cmpgt_epi64(lo, x))
     }
 
+    /// Writes four codes (one per `i64` lane, each in `[0, 255]`) to
+    /// `out..out + 4`: `vpermd` gathers the low dwords and two `vpackus`
+    /// narrow them to bytes.
+    ///
+    /// # Safety
+    /// AVX2 detected; `out..out + 4` writable.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn store4_codes(v: __m256i, out: *mut u8) {
-        let mut lanes = [0i64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, v);
-        for (j, &l) in lanes.iter().enumerate() {
-            *out.add(j) = l as u8;
-        }
+    unsafe fn pack4_codes(v: __m256i, out: *mut u8) {
+        let d = _mm256_permutevar8x32_epi32(v, _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6));
+        let w = _mm256_packus_epi32(d, d);
+        (out as *mut i32).write_unaligned(_mm256_cvtsi256_si32(_mm256_packus_epi16(w, w)));
     }
 
-    /// One 4-lane fixed-point requant: `clamp(zy + asr(m0·sat32(Φ + bq),
+    /// One 4-lane fixed-point requant: `clamp(zy + asr(m0·sat32(Φ + bias),
     /// 31 − n0), 0, qmax)` with the xor-bias arithmetic shift emulation.
+    /// `bias` is `Bq` plus any folded correction; only the low dword of
+    /// each `m0v` lane is read.
+    ///
+    /// The scalar `FixedPointMultiplier::apply` also clamps the shifted
+    /// product to `i32` before `zy` is added; the final clamp covers it.
+    /// Proof: `|sat32(·)| ≤ 2³¹` and `|m0| ≤ 2³¹`, so `|prod| ≤ 2⁶²`, and a
+    /// right shift by `s ∈ [0, 63]` keeps `|shifted| ≤ 2⁶²` — `zy +
+    /// shifted` cannot wrap. If `shifted > i32::MAX`, both forms exceed
+    /// `qmax ≤ 255` and give `qmax`; if `shifted < i32::MIN`, both are
+    /// negative (`0 ≤ zy ≤ 255`) and give 0; otherwise that clamp is the
+    /// identity.
+    ///
+    /// # Safety
+    /// AVX2 detected; shifts in `[0, 63]` with their biases (a vectorizable
+    /// plan).
     #[inline]
     #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
     unsafe fn fixed_lanes_avx2(
         phi: __m256i,
-        bq: *const i32,
-        m0: *const i32,
-        shift: *const i64,
-        sbias: *const i64,
+        bias: __m256i,
+        m0v: __m256i,
+        shv: __m256i,
+        sbv: __m256i,
         zyv: __m256i,
         qmaxv: __m256i,
     ) -> __m256i {
         let i32lo = _mm256_set1_epi64x(i32::MIN as i64);
         let i32hi = _mm256_set1_epi64x(i32::MAX as i64);
-        let minv = _mm256_set1_epi64x(i64::MIN);
-        let bqv = _mm256_cvtepi32_epi64(_mm_loadu_si128(bq as *const __m128i));
-        let v = clamp64_avx2(_mm256_add_epi64(phi, bqv), i32lo, i32hi);
+        let v = clamp64_avx2(_mm256_add_epi64(phi, bias), i32lo, i32hi);
         // The clamped lane fits i32, so its low dword IS the value —
         // `pmuldq` sign-extends exactly the operand we want.
-        let m0v = _mm256_cvtepi32_epi64(_mm_loadu_si128(m0 as *const __m128i));
         let prod = _mm256_mul_epi32(v, m0v);
-        let shv = _mm256_loadu_si256(shift as *const __m256i);
-        let sbv = _mm256_loadu_si256(sbias as *const __m256i);
+        let minv = _mm256_set1_epi64x(i64::MIN);
         let shifted = _mm256_sub_epi64(_mm256_srlv_epi64(_mm256_xor_si256(prod, minv), shv), sbv);
-        let r = clamp64_avx2(shifted, i32lo, i32hi);
-        clamp64_avx2(_mm256_add_epi64(zyv, r), _mm256_setzero_si256(), qmaxv)
+        let zero = _mm256_setzero_si256();
+        clamp64_avx2(_mm256_add_epi64(zyv, shifted), zero, qmaxv)
     }
 
     /// One 4-lane threshold requant: branchless compare-accumulate over the
@@ -562,22 +648,23 @@ mod x86 {
         _mm256_blendv_epi8(cnt, konstv, emptyv)
     }
 
-    /// Precomputed-`Φ` entry, AVX2 (4 channels per iteration).
-    pub unsafe fn phi_avx2(plan: &RequantPlan, c0: usize, phis: Phis<'_>, out: &mut [u8]) -> usize {
-        phi_avx2_impl(plan, c0, phis, out)
-    }
-
+    /// Requantizes channels `c..c + 4` of `R` rows: `phi[r]` holds row
+    /// `r`'s `Φ + corr`, where `corr` is a per-channel term every row
+    /// shares. The channel constants load once for all rows, and `corr`
+    /// folds into the fixed-point bias.
+    ///
+    /// # Safety
+    /// AVX2 detected; `plan` vectorizable with `c + 4 ≤ plan.channels()`.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn phi_avx2_impl(
+    unsafe fn requant_group<const R: usize>(
         plan: &RequantPlan,
-        c0: usize,
-        phis: Phis<'_>,
-        out: &mut [u8],
-    ) -> usize {
-        let n = phis.len() & !3;
+        c: usize,
+        corr: __m256i,
+        mut phi: [__m256i; R],
+    ) -> [__m256i; R] {
         let zyv = _mm256_set1_epi64x(plan.zy);
         let qmaxv = _mm256_set1_epi64x(plan.qmax);
-        let co = plan.channels();
         match &plan.kind {
             PlanKind::Fixed {
                 bq,
@@ -586,19 +673,12 @@ mod x86 {
                 sbias,
                 ..
             } => {
-                for i in (0..n).step_by(4) {
-                    let c = c0 + i;
-                    let phi = load4_avx2(phis, i);
-                    let code = fixed_lanes_avx2(
-                        phi,
-                        bq.as_ptr().add(c),
-                        m0.as_ptr().add(c),
-                        shift.as_ptr().add(c),
-                        sbias.as_ptr().add(c),
-                        zyv,
-                        qmaxv,
-                    );
-                    store4_codes(code, out.as_mut_ptr().add(i));
+                let bias = _mm256_sub_epi64(widen4_avx2(bq.as_ptr().add(c)), corr);
+                let m0v = widen4_avx2(m0.as_ptr().add(c));
+                let shv = load_i64x4(shift.as_ptr().add(c));
+                let sbv = load_i64x4(sbias.as_ptr().add(c));
+                for p in &mut phi {
+                    *p = fixed_lanes_avx2(*p, bias, m0v, shv, sbv, zyv, qmaxv);
                 }
             }
             PlanKind::Thresh {
@@ -609,122 +689,172 @@ mod x86 {
                 konst,
                 ..
             } => {
-                for i in (0..n).step_by(4) {
-                    let phi = load4_avx2(phis, i);
-                    let code = thresh_lanes_avx2(
-                        phi,
-                        c0 + i,
-                        co,
+                for p in &mut phi {
+                    *p = thresh_lanes_avx2(
+                        _mm256_sub_epi64(*p, corr),
+                        c,
+                        plan.channels(),
                         *len,
                         thr_t.as_ptr(),
                         flip.as_ptr(),
                         empty.as_ptr(),
                         konst.as_ptr(),
                     );
-                    store4_codes(code, out.as_mut_ptr().add(i));
                 }
             }
         }
-        n
+        phi
     }
 
-    /// Fused GEMM-row entry, AVX2: `Φ` lanes are built in-register from the
-    /// `i32` accumulators and the hoisted corrections (all proven to fit
-    /// `i32`, so `pmuldq` on the low dwords is exact).
-    pub unsafe fn gemm_avx2(
-        plan: &RequantPlan,
-        accs: &[i32],
-        sx: i64,
-        zx: i64,
-        zw: &[i64],
-        wbase: &[i64],
-        out: &mut [u8],
-    ) -> usize {
-        gemm_avx2_impl(plan, accs, sx, zx, zw, wbase, out)
-    }
-
+    /// Precomputed-`Φ` entry, AVX2 (4 channels per iteration).
+    ///
+    /// # Safety
+    /// AVX2 detected; `plan` vectorizable, `phis.len() == out.len()` and
+    /// `c0 + phis.len() ≤ plan.channels()`.
     #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn gemm_avx2_impl(
-        plan: &RequantPlan,
-        accs: &[i32],
-        sx: i64,
-        zx: i64,
-        zw: &[i64],
-        wbase: &[i64],
-        out: &mut [u8],
-    ) -> usize {
-        let n = accs.len() & !3;
-        let zyv = _mm256_set1_epi64x(plan.zy);
-        let qmaxv = _mm256_set1_epi64x(plan.qmax);
-        let sxv = _mm256_set1_epi64x(sx);
-        let zxv = _mm256_set1_epi64x(zx);
-        let co = plan.channels();
+    pub unsafe fn phi_avx2(plan: &RequantPlan, c0: usize, phis: Phis<'_>, out: &mut [u8]) -> usize {
+        let n = phis.len() & !3;
         for i in (0..n).step_by(4) {
-            let acc =
-                _mm256_cvtepi32_epi64(_mm_loadu_si128(accs.as_ptr().add(i) as *const __m128i));
-            let zwv = _mm256_loadu_si256(zw.as_ptr().add(i) as *const __m256i);
-            let bv = _mm256_loadu_si256(wbase.as_ptr().add(i) as *const __m256i);
-            let phi = _mm256_sub_epi64(
-                _mm256_sub_epi64(acc, _mm256_mul_epi32(zwv, sxv)),
-                _mm256_mul_epi32(bv, zxv),
-            );
-            let code = match &plan.kind {
-                PlanKind::Fixed {
-                    bq,
-                    m0,
-                    shift,
-                    sbias,
-                    ..
-                } => fixed_lanes_avx2(
-                    phi,
-                    bq.as_ptr().add(i),
-                    m0.as_ptr().add(i),
-                    shift.as_ptr().add(i),
-                    sbias.as_ptr().add(i),
-                    zyv,
-                    qmaxv,
-                ),
-                PlanKind::Thresh {
-                    len,
-                    thr_t,
-                    flip,
-                    empty,
-                    konst,
-                    ..
-                } => thresh_lanes_avx2(
-                    phi,
-                    i,
-                    co,
-                    *len,
-                    thr_t.as_ptr(),
-                    flip.as_ptr(),
-                    empty.as_ptr(),
-                    konst.as_ptr(),
-                ),
-            };
-            store4_codes(code, out.as_mut_ptr().add(i));
+            let zero = _mm256_setzero_si256();
+            let [code] = requant_group(plan, c0 + i, zero, [load4_avx2(phis, i)]);
+            pack4_codes(code, out.as_mut_ptr().add(i));
         }
         n
+    }
+
+    /// The register-blocked GEMM behind [`super::apply_gemm_rows`]: blocks
+    /// of [`GEMM_ROWS`] rows, then single rows.
+    ///
+    /// # Safety
+    /// Caller must have detected AVX2 and established everything
+    /// `apply_gemm_rows` checks.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    pub unsafe fn gemm_rows_avx2(
+        plan: &RequantPlan,
+        req: &Requantizer,
+        panels: &PackedPanels,
+        x: &[u8],
+        zx: i64,
+        xs: &mut [i32],
+        out: &mut [u8],
+        requants: &mut u64,
+        cmps: &mut u64,
+    ) {
+        let rows = out.len() / panels.out_channels();
+        let blocked = rows - rows % GEMM_ROWS;
+        for r in (0..blocked).step_by(GEMM_ROWS) {
+            gemm_block_avx2::<GEMM_ROWS>(plan, req, panels, x, zx, r, xs, out, requants, cmps);
+        }
+        for r in blocked..rows {
+            gemm_block_avx2::<1>(plan, req, panels, x, zx, r, xs, out, requants, cmps);
+        }
+    }
+
+    /// Rows `r0..r0 + R`: each row is widened (and summed) once, then every
+    /// channel tile accumulates in registers and requantizes in place —
+    /// tiles of 16 channels, one of 8, then a scalar remainder.
+    ///
+    /// # Safety
+    /// As [`gemm_rows_avx2`], with `r0 + R` rows in `out`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn gemm_block_avx2<const R: usize>(
+        plan: &RequantPlan,
+        req: &Requantizer,
+        panels: &PackedPanels,
+        x: &[u8],
+        zx: i64,
+        r0: usize,
+        xs: &mut [i32],
+        out: &mut [u8],
+        requants: &mut u64,
+        cmps: &mut u64,
+    ) {
+        let (k, co_n) = (panels.k(), panels.out_channels());
+        let (pairs, tail) = (panels.pairs(), panels.tail());
+        let kw = k.div_ceil(2);
+        let x = &x[r0 * k..(r0 + R) * k];
+        let out = &mut out[r0 * co_n..(r0 + R) * co_n];
+        let mut sx = [0i64; R];
+        for (i, s) in sx.iter_mut().enumerate() {
+            *s = widen_pairs_avx2(&x[i * k..(i + 1) * k], &mut xs[i * kw..(i + 1) * kw]);
+        }
+        let mut ct = 0;
+        while ct + 16 <= co_n {
+            let acc = dot_tile_avx2::<R, 2>(xs, k, pairs, tail, co_n, ct);
+            requant_tile_avx2(plan, panels, acc, sx, zx, ct, out);
+            ct += 16;
+        }
+        if ct + 8 <= co_n {
+            let acc = dot_tile_avx2::<R, 1>(xs, k, pairs, tail, co_n, ct);
+            requant_tile_avx2(plan, panels, acc, sx, zx, ct, out);
+            ct += 8;
+        }
+        let (zw, wbase) = (panels.zw(), panels.base());
+        for (i, o) in out.chunks_exact_mut(co_n).enumerate() {
+            plan.charge(0, ct, requants, cmps);
+            let row = &x[i * k..(i + 1) * k];
+            for c in ct..co_n {
+                let mut dot = tail.get(c).map_or(0, |&w| row[k - 1] as i64 * w as i64);
+                for (p, xp) in row.chunks_exact(2).enumerate() {
+                    let w = &pairs[(p * co_n + c) * 2..];
+                    dot += xp[0] as i64 * w[0] as i64 + xp[1] as i64 * w[1] as i64;
+                }
+                o[c] = req.apply(c, dot - zw[c] * sx[i] - zx * wbase[c], requants, cmps);
+            }
+        }
+    }
+
+    /// Requantizes one register tile — `R` rows × `8·V` channels from `ct`
+    /// — into `out` (the block's `R` rows of `c_o` codes): `Φ = acc −
+    /// Zw·ΣX − Zx·(ΣW − k·Zw)`, the last term shared by every row.
+    ///
+    /// # Safety
+    /// As [`gemm_rows_avx2`], with `ct + 8·V ≤ c_o` and `out.len() == R·c_o`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn requant_tile_avx2<const R: usize, const V: usize>(
+        plan: &RequantPlan,
+        panels: &PackedPanels,
+        acc: [[__m256i; V]; R],
+        sx: [i64; R],
+        zx: i64,
+        ct: usize,
+        out: &mut [u8],
+    ) {
+        let co = plan.channels();
+        let zxv = _mm256_set1_epi64x(zx);
+        for v in 0..V {
+            for h in 0..2 {
+                let c = ct + 8 * v + 4 * h;
+                let zwv = load_i64x4(panels.zw().as_ptr().add(c));
+                let mut phi = [_mm256_setzero_si256(); R];
+                for (p, (a, &s)) in phi.iter_mut().zip(acc.iter().zip(&sx)) {
+                    let half = if h == 0 {
+                        _mm256_castsi256_si128(a[v])
+                    } else {
+                        _mm256_extracti128_si256::<1>(a[v])
+                    };
+                    let zws = _mm256_mul_epi32(zwv, _mm256_set1_epi64x(s));
+                    *p = _mm256_sub_epi64(_mm256_cvtepi32_epi64(half), zws);
+                }
+                let corr = _mm256_mul_epi32(load_i64x4(panels.base().as_ptr().add(c)), zxv);
+                for (r, code) in requant_group(plan, c, corr, phi).into_iter().enumerate() {
+                    pack4_codes(code, out.as_mut_ptr().add(r * co + c));
+                }
+            }
+        }
     }
 
     /// `QAdd` LUT kernel: widen 4 codes to qword indices, gather both
     /// per-operand LUTs, add, clamp.
-    pub unsafe fn qadd_avx2(
-        lut_a: &[i64; 256],
-        lut_b: &[i64; 256],
-        a: &[u8],
-        b: &[u8],
-        zy: i64,
-        qmax: i64,
-        out: &mut [u8],
-    ) -> usize {
-        qadd_avx2_impl(lut_a, lut_b, a, b, zy, qmax, out)
-    }
-
+    ///
+    /// # Safety
+    /// AVX2 detected; `a` and `b` at least as long as `out`.
     #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn qadd_avx2_impl(
+    pub unsafe fn qadd_avx2(
         lut_a: &[i64; 256],
         lut_b: &[i64; 256],
         a: &[u8],
@@ -738,22 +868,16 @@ mod x86 {
         let qmaxv = _mm256_set1_epi64x(qmax);
         let zero = _mm256_setzero_si256();
         for i in (0..n).step_by(4) {
-            let qa = _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(i32::from_le_bytes([
-                a[i],
-                a[i + 1],
-                a[i + 2],
-                a[i + 3],
-            ])));
-            let qb = _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(i32::from_le_bytes([
-                b[i],
-                b[i + 1],
-                b[i + 2],
-                b[i + 3],
-            ])));
+            let (pa, pb) = (
+                a.as_ptr().add(i) as *const i32,
+                b.as_ptr().add(i) as *const i32,
+            );
+            let qa = _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(pa.read_unaligned()));
+            let qb = _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(pb.read_unaligned()));
             let ga = _mm256_i64gather_epi64::<8>(lut_a.as_ptr(), qa);
             let gb = _mm256_i64gather_epi64::<8>(lut_b.as_ptr(), qb);
             let s = _mm256_add_epi64(_mm256_add_epi64(zyv, ga), gb);
-            store4_codes(clamp64_avx2(s, zero, qmaxv), out.as_mut_ptr().add(i));
+            pack4_codes(clamp64_avx2(s, zero, qmaxv), out.as_mut_ptr().add(i));
         }
         n
     }
@@ -1131,6 +1255,37 @@ mod tests {
             assert_eq!(got, want);
             assert_eq!((r1, c1), (r0, c0));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "one row of k codes")]
+    fn gemm_rows_reject_short_input() {
+        // Two output rows of a k = 9 layer need 18 input codes; 17 would
+        // read past `x` in the unchecked tile loads.
+        use crate::{QConv2d, QConvWeights, WeightOffset};
+        use mixq_tensor::{ConvGeometry, Padding, Shape};
+        let req = random_icn(41, 8, BitWidth::W8);
+        let weights = QConvWeights::new(
+            Shape::new(8, 1, 1, 9),
+            false,
+            &[3u8; 72],
+            BitWidth::W8,
+            WeightOffset::PerLayer(0),
+        );
+        let conv = QConv2d::new(weights, ConvGeometry::new(1, 1, 1, Padding::Same), req);
+        let mut out = vec![0u8; 16];
+        apply_gemm_rows(
+            conv.plan(),
+            conv.requant(),
+            SimdLevel::Scalar,
+            &conv.prepack_panels(),
+            &[0u8; 17],
+            0,
+            &mut [0i32; 4 * 5],
+            &mut out,
+            &mut 0,
+            &mut 0,
+        );
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! dataflow:
 //!
 //! * **u8 codes** — `[0, 2^Q − 1]` from the tensor plan's bit widths;
-//! * **dot-product chunks** — the `i32` accumulation run the blocked GEMM
-//!   hands `gemv2` (`k` on the fused hot path, `MAX_DOT_LEN & !1` chunks
-//!   on the `blocked_rows_long` cold path, odd-`k` tails included);
+//! * **dot-product chunks** — the `i32` accumulation run of the blocked
+//!   GEMM: the whole patch `k`, odd-`k` tails included (a layer past
+//!   `MAX_DOT_LEN` never lowers to it, so a longer `BlockedGemm` node is a
+//!   [`Violation::DotLengthExceedsKernel`]);
 //! * **folded `Φ`** — the per-channel `i64` totals after the hoisted
 //!   zero-point corrections, bounded *tightly* from the actual weight
 //!   codes (not the generic `±k·qx·qw` hull);
@@ -32,10 +33,11 @@ use crate::report::{NodeCert, VerifyReport, Violation};
 /// construction sits far inside this.
 const JOIN_SCALE_RTOL: f64 = 1e-6;
 
-/// Checks the dot-product geometry one GEMM-lowered layer hands to
-/// `gemv2`: the dispatch contract (`chunk ≤ MAX_DOT_LEN`, the bound the
-/// u16-pair SIMD cores are proven for) and the arithmetic bound (the
-/// worst-case unsigned partial sum `chunk·qx·qw` must fit `i32`).
+/// Checks the dot-product geometry of one GEMM-lowered layer: the kernel
+/// contract (`chunk ≤ MAX_DOT_LEN`, the bound the SIMD GEMM cores are
+/// proven for) and the arithmetic bound (the worst-case unsigned partial
+/// sum `chunk·qx·qw` must fit `i32`). The blocked GEMM accumulates the
+/// whole patch in one chunk, so callers pass `chunk = k`.
 ///
 /// The two are deliberately separate facts: `MAX_DOT_LEN = 32768` is
 /// stricter than the arithmetic limit `⌊2³¹/(255·255)⌋ = 33025`, so a
@@ -73,19 +75,6 @@ pub fn check_dot_geometry(
         });
     }
     (acc, violations)
-}
-
-/// The chunk length the blocked dispatch actually accumulates in `i32`
-/// before flushing to `i64`: the whole `k` on the fused hot path, or the
-/// even-truncated `MAX_DOT_LEN` chunk on the `blocked_rows_long` cold
-/// path (whose final chunk also absorbs the odd-`k` tail element, still
-/// within the same bound).
-pub fn blocked_chunk_len(k: usize) -> usize {
-    if k <= MAX_DOT_LEN {
-        k
-    } else {
-        MAX_DOT_LEN & !1
-    }
 }
 
 /// Tight per-output-channel intervals of the folded accumulator
@@ -413,12 +402,11 @@ fn verify_conv(
             }
             (taps, acc)
         }
-        // Blocked GEMM: unsigned code dot products in i32 chunks.
+        // Blocked GEMM: unsigned code dot products, one i32 chunk of k.
         (false, KernelChoice::BlockedGemm) => {
-            let chunk = blocked_chunk_len(taps);
-            let (acc, geo) = check_dot_geometry(name, taps, chunk, qx, qw);
+            let (acc, geo) = check_dot_geometry(name, taps, taps, qx, qw);
             violations.extend(geo);
-            (chunk, acc)
+            (taps, acc)
         }
         // The direct loop accumulates (x − Zx)(w − Zw) in i64.
         (false, _) => {

@@ -9,9 +9,10 @@
 //! * **(a) No intermediate overflows its width for any input.** Interval
 //!   (abstract-interpretation) range analysis follows each kernel's exact
 //!   dataflow: u8 code ranges from the tensor plan's bit widths →
-//!   unsigned dot-product partial sums → `i32` accumulator chunks
-//!   (including the `blocked_rows_long` chunked cold path and odd-`k`
-//!   tails) → `i64` flush with hoisted zero-point corrections → the
+//!   unsigned dot-product partial sums → the blocked GEMM's one `i32`
+//!   accumulator chunk of `k` (odd-`k` tails included; `k ≤ MAX_DOT_LEN`
+//!   or the node is rejected) → `i64` widening with hoisted zero-point
+//!   corrections → the
 //!   requantizer's saturating `Φ + Bq` input. Conv `Φ` bounds are
 //!   computed **tightly from the actual weight codes** (achievable by an
 //!   adversarial input), not from the generic `±k·qx·qw` hull.
@@ -70,8 +71,8 @@ pub mod report;
 pub mod spec;
 
 pub use graph::{
-    blocked_chunk_len, check_dot_geometry, check_schedule, conv_phi_intervals, requant_gate,
-    verify_add_node, verify_graph,
+    check_dot_geometry, check_schedule, conv_phi_intervals, requant_gate, verify_add_node,
+    verify_graph,
 };
 pub use interval::Interval;
 pub use report::{NodeCert, VerifyReport, Violation};

@@ -29,9 +29,9 @@ pub enum Violation {
         /// The width the value must fit (`"i32"` / `"i64"`).
         bound: &'static str,
     },
-    /// A dot-product chunk handed to `gemv2` exceeds the kernel's
-    /// `MAX_DOT_LEN` dispatch contract (the u16-pair SIMD cores are only
-    /// proven for chunks up to this length).
+    /// A dot-product chunk of the blocked GEMM exceeds the kernel's
+    /// `MAX_DOT_LEN` contract (its `i32` SIMD accumulators are only proven
+    /// for chunks up to this length; longer layers must run direct).
     DotLengthExceedsKernel {
         /// Node name.
         node: String,
@@ -280,8 +280,8 @@ pub struct NodeCert {
     pub choice: &'static str,
     /// Dot length `k` (kernel taps × input channels; 0 where not a dot).
     pub k: usize,
-    /// Longest contiguous run accumulated in `i32` before the `i64` flush
-    /// (`k` on the fused hot path, the chunk size on the long path).
+    /// Longest contiguous run accumulated in `i32` before widening to
+    /// `i64` (the whole `k` on every dot-product kernel).
     pub chunk: usize,
     /// Proven interval of the `i32` accumulation stage.
     pub acc: (i64, i64),

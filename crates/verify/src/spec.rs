@@ -2,8 +2,9 @@
 //!
 //! Before a single weight is trained, the worst-case overflow and
 //! geometry facts are already determined by shapes and widths: the dot
-//! length `k` of every layer, the chunking the blocked GEMM would use,
-//! and the generic accumulator hull `±k·qx·qw` (weights unknown, so the
+//! length `k` of every layer, which the blocked GEMM accumulates in one
+//! `i32` chunk (a layer past `MAX_DOT_LEN` is flagged: only the direct
+//! loop can run it), and the generic accumulator hull `±k·qx·qw` (weights unknown, so the
 //! symmetric bound replaces [`conv_phi_intervals`]'s tight one). This is
 //! the deployment-time pre-check: it runs over every model-zoo spec ×
 //! assignment in the `verify_zoo` bench with no training, deterministic
@@ -14,7 +15,7 @@
 use mixq_models::{LayerKind, NetworkSpec, SpecOp};
 use mixq_quant::BitWidth;
 
-use crate::graph::{blocked_chunk_len, check_dot_geometry, check_schedule};
+use crate::graph::{check_dot_geometry, check_schedule};
 use crate::interval::Interval;
 use crate::report::{NodeCert, VerifyReport, Violation};
 
@@ -62,8 +63,7 @@ pub fn verify_spec(
                         } else {
                             layer.kernel() * layer.kernel() * layer.in_channels()
                         };
-                        let chunk = blocked_chunk_len(k);
-                        let (acc, geo) = check_dot_geometry(layer.name(), k, chunk, qx, qw);
+                        let (acc, geo) = check_dot_geometry(layer.name(), k, k, qx, qw);
                         violations.extend(geo);
                         let phi =
                             Interval::new(-(qx as i128) * qw as i128, qx as i128 * qw as i128)
@@ -77,7 +77,7 @@ pub fn verify_spec(
                             },
                             choice: "spec",
                             k,
-                            chunk,
+                            chunk: k,
                             acc: acc.clamped_i64(),
                             phi: phi.clamped_i64(),
                             vectorizable: true,

@@ -7,11 +7,14 @@
 //! diagnostic.
 
 use mixq_kernels::simd::{self, SimdLevel, MAX_DOT_LEN};
-use mixq_kernels::{QAdd, Requantizer, ThresholdChannel};
-use mixq_quant::BitWidth;
-use mixq_tensor::Shape;
+use mixq_kernels::{
+    ActivationArena, KernelChoice, OpCounts, OpOutput, QActivation, QAdd, QConv2d, QConvWeights,
+    QGraph, QOp, Requantizer, ThresholdChannel, TiledBackend, WeightOffset,
+};
+use mixq_quant::{BitWidth, FixedPointMultiplier};
+use mixq_tensor::{ConvGeometry, Padding, Shape};
 use mixq_verify::{
-    blocked_chunk_len, check_dot_geometry, check_schedule, requant_gate, verify_add_node, Violation,
+    check_dot_geometry, check_schedule, requant_gate, verify_add_node, verify_graph, Violation,
 };
 
 /// Runs `gemv2` over an all-max panel (`x = w = 255` everywhere) at dot
@@ -26,18 +29,66 @@ fn gemv2_all_max(level: SimdLevel, k: usize, co_n: usize) -> (Vec<i32>, Vec<i32>
     (acc0, acc1)
 }
 
+/// An all-max 1×1 convolution (`w = 255`, `Zw = 0`) with patch length
+/// `k` and `co` output channels.
+fn all_max_conv(k: usize, co: usize, req: Requantizer) -> QConv2d {
+    let w = QConvWeights::new(
+        Shape::new(co, 1, 1, k),
+        false,
+        &vec![255u8; co * k],
+        BitWidth::W8,
+        WeightOffset::PerLayer(0),
+    );
+    QConv2d::new(w, ConvGeometry::new(1, 1, 1, Padding::Same), req)
+}
+
+/// Output codes of one blocked-GEMM execution at the active SIMD level.
+fn blocked_codes(conv: &QConv2d, x: &QActivation) -> Vec<u8> {
+    let out = conv.execute_kernel(
+        KernelChoice::BlockedGemm,
+        None,
+        &[x],
+        &mut ActivationArena::new(),
+        &mut OpCounts::default(),
+    );
+    match out {
+        OpOutput::Act(a) => a.codes(),
+        OpOutput::Logits(_) => unreachable!("convolutions produce activations"),
+    }
+}
+
 #[test]
 fn gemv2_max_magnitude_at_contract_boundary() {
-    // k = MAX_DOT_LEN is the largest chunk the dispatch contract admits;
+    // k = MAX_DOT_LEN is the largest patch the kernel contract admits;
     // k = MAX_DOT_LEN − 1 exercises the odd-k tail at the same scale.
     for k in [2usize, 3, 7, MAX_DOT_LEN - 1, MAX_DOT_LEN] {
-        let expected = (k as i64 * 255 * 255) as i32; // fits: 32768·255² < 2³¹
+        let expected = k as i64 * 255 * 255; // fits i32: 32768·255² < 2³¹
         let (s0, s1) = gemv2_all_max(SimdLevel::Scalar, k, 4);
-        assert!(s0.iter().chain(&s1).all(|&a| a == expected), "k = {k}");
+        assert!(
+            s0.iter().chain(&s1).all(|&a| a as i64 == expected),
+            "k = {k}"
+        );
 
-        let level = simd::active_level();
-        let (v0, v1) = gemv2_all_max(level, k, 4);
-        assert_eq!((&s0, &s1), (&v0, &v1), "{level:?} diverges at k = {k}");
+        // The same all-255 product through the blocked GEMM at the active
+        // level (the register-blocked AVX2 kernel on x86_64): 15 threshold
+        // steps at expected − 7 ..= expected + 7 give code 8 exactly when
+        // Φ is exact. 25 channels cover the 16- and 8-channel tiles and
+        // the scalar remainder; 5 rows a 4-row block and a single row.
+        let step = ThresholdChannel::from_affine(1.0, 8 - expected, 0, BitWidth::W4);
+        let req = Requantizer::thresholds(vec![step; 25], 0, BitWidth::W4);
+        let conv = all_max_conv(k, 25, req);
+        let x = QActivation::from_codes(
+            Shape::feature_map(1, 5, k),
+            &vec![255u8; 5 * k],
+            BitWidth::W8,
+            0,
+        );
+        let codes = blocked_codes(&conv, &x);
+        assert!(
+            codes.iter().all(|&c| c == 8),
+            "{:?} inexact at k = {k}: {codes:?}",
+            simd::active_level()
+        );
 
         // Verifier tightness: the proven i32-chunk interval's upper bound
         // is exactly the value the all-max input just achieved.
@@ -77,15 +128,28 @@ fn gemv2_odd_k_tail_bit_identity() {
 }
 
 #[test]
-fn chunking_covers_past_contract_lengths() {
-    // k = MAX_DOT_LEN + 1 cannot be one chunk; the blocked cold path
-    // splits it and the verifier's chunk model stays within the contract.
-    for k in [MAX_DOT_LEN + 1, 2 * MAX_DOT_LEN + 7, 100_000] {
-        let chunk = blocked_chunk_len(k);
-        assert_eq!(chunk, MAX_DOT_LEN & !1);
-        let (_, violations) = check_dot_geometry("long", k, chunk, 255, 255);
-        assert!(violations.is_empty(), "chunked k = {k} must verify");
-    }
+fn past_contract_patch_lowers_direct_and_verifies() {
+    // k = MAX_DOT_LEN + 2 would overflow the blocked GEMM's i32
+    // accumulators: the op omits that kernel, the tiled backend leaves the
+    // layer on the direct loop (which accumulates in i64), and the graph
+    // verifies clean.
+    let k = MAX_DOT_LEN + 2;
+    let mult = FixedPointMultiplier::from_real(1e-9);
+    let conv = all_max_conv(
+        k,
+        2,
+        Requantizer::icn(vec![0; 2], vec![mult; 2], 0, BitWidth::W8),
+    );
+    assert!(!conv.blocked_supported());
+    assert_eq!(conv.supported_kernels(), &[KernelChoice::DirectConv]);
+    let input = Shape::feature_map(1, 1, k);
+    let mut g = QGraph::with_input(input, BitWidth::W8);
+    g.push("long", conv);
+    g.select_kernels(&TiledBackend::default());
+    assert_eq!(g.nodes()[0].choice(), KernelChoice::DirectConv);
+    let report = verify_graph("long", &g, input, BitWidth::W8);
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
+    assert_eq!(report.nodes[0].k, k);
 }
 
 #[test]

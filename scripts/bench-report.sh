@@ -6,7 +6,7 @@
 #     PR-4 baseline, and the batch-8 speedup of the prepacked tiled path.
 #   BENCH_walk.json  — the SIMD × threads scaling table of one batch-8
 #     walk: forced-scalar vs auto-detected SIMD at 1 thread, and the
-#     intra-walk worker-pool sweep, with kernel-level gemv2 ratios.
+#     intra-walk worker-pool sweep, with kernel-level GEMM ratios.
 #   BENCH_serve.json — the serving-load table: p50/p99 latency, shed and
 #     degradation splits of the mixq-serve runtime per offered
 #     inter-arrival gap × worker count (4-worker target null/skipped on

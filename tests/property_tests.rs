@@ -923,7 +923,7 @@ proptest! {
         // Every vector backend the host can run must reproduce the forced-
         // scalar walk bit-exactly: logits AND the abstract ledger (the
         // dataflow may change, the modeled work may not). The graph is
-        // lowered through the tiled backend so the blocked-GEMM/`gemv2`
+        // lowered through the tiled backend so the blocked-GEMM
         // path — the only level-dependent kernel — is actually on the
         // execution path.
         use mixq::kernels::simd;
