@@ -5,9 +5,9 @@
 //! dispatch point) and its per-phase breakdown — plus the `QGraph`
 //! executor against a hand-rolled layer loop.
 //!
-//! These measure *host* throughput with a simple median-of-samples timer
-//! (the build environment has no registry access for criterion; the shape
-//! under test is relative, not absolute). The MCU latency itself comes
+//! These measure *host* time with the benches' one timer,
+//! `harness::measure` (median [p10–p90] over `n` runs; the shape under
+//! test is relative, not absolute). The MCU latency itself comes
 //! from the cycle model. Expected shape: sub-byte kernels pay an unpack
 //! cost, per-channel offsets cost extra work, thresholds replace
 //! multiplies with comparisons.
@@ -15,32 +15,14 @@
 //! Run with: `cargo bench --bench kernel_microbench`
 
 use std::hint::black_box;
-use std::time::Instant;
 
-use mixq_bench::harness::{backend_arg, batch_arg};
+use mixq_bench::harness::{backend_arg, batch_arg, measure, Measurement};
 use mixq_kernels::{
     ActivationArena, Backend, KernelChoice, OpCounts, OpOutput, QActivation, QAvgPool, QConv2d,
     QConvWeights, QGraph, QOp, Requantizer, ThresholdChannel, WeightOffset,
 };
 use mixq_quant::{BitWidth, FixedPointMultiplier};
 use mixq_tensor::{ConvGeometry, Padding, Shape};
-
-/// Times `f` over `samples` timed runs (after warmup) and reports the
-/// median duration in microseconds.
-fn time_us<T>(samples: usize, mut f: impl FnMut() -> T) -> f64 {
-    for _ in 0..2 {
-        black_box(f());
-    }
-    let mut runs: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t = Instant::now();
-            black_box(f());
-            t.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    runs.sort_by(|a, b| a.total_cmp(b));
-    runs[runs.len() / 2]
-}
 
 /// One blocked-GEMM execution of `conv` through the executor's dispatch
 /// point, with per-call panel packing and a fresh arena.
@@ -55,8 +37,8 @@ fn blocked(conv: &QConv2d, x: &QActivation) -> OpOutput {
     )
 }
 
-fn report(group: &str, name: &str, us: f64) {
-    println!("{group:>18} / {name:<14} {us:>10.1} µs");
+fn report(group: &str, name: &str, us: Measurement) {
+    println!("{group:>18} / {name:<14} {us:>32} µs");
 }
 
 fn conv_layer(weight_bits: BitWidth, per_channel: bool, thresholds: bool) -> QConv2d {
@@ -105,7 +87,7 @@ fn bench_conv_bitwidths() {
     for bits in [BitWidth::W8, BitWidth::W4, BitWidth::W2] {
         let conv = conv_layer(bits, false, false);
         let x = input(BitWidth::W8);
-        let us = time_us(SAMPLES, || {
+        let us = measure(SAMPLES, || {
             let mut ops = OpCounts::default();
             conv.execute(black_box(&x), &mut ops)
         });
@@ -117,7 +99,7 @@ fn bench_pc_vs_pl() {
     for (name, per_channel) in [("per_layer", false), ("per_channel", true)] {
         let conv = conv_layer(BitWidth::W8, per_channel, false);
         let x = input(BitWidth::W8);
-        let us = time_us(SAMPLES, || {
+        let us = measure(SAMPLES, || {
             let mut ops = OpCounts::default();
             conv.execute(black_box(&x), &mut ops)
         });
@@ -129,7 +111,7 @@ fn bench_requant_modes() {
     for (name, thresholds) in [("icn", false), ("thresholds", true)] {
         let conv = conv_layer(BitWidth::W4, true, thresholds);
         let x = input(BitWidth::W4);
-        let us = time_us(SAMPLES, || {
+        let us = measure(SAMPLES, || {
             let mut ops = OpCounts::default();
             conv.execute(black_box(&x), &mut ops)
         });
@@ -192,11 +174,11 @@ fn pointwise(co: usize) -> QConv2d {
 /// Times `op` as a graph node runs it: through `QOp::execute_kernel` with
 /// `choice`, its prepacked weight cache and a warmed arena that recycles
 /// each output.
-fn time_node(op: &impl QOp, choice: KernelChoice, x: &QActivation) -> f64 {
+fn time_node(op: &impl QOp, choice: KernelChoice, x: &QActivation) -> Measurement {
     let (cache, _) = op.prepack(choice);
     let mut arena = ActivationArena::new();
     let mut ops = OpCounts::default();
-    time_us(SAMPLES, || {
+    measure(SAMPLES, || {
         match op.execute_kernel(
             choice,
             cache.as_ref(),
@@ -255,12 +237,12 @@ fn bench_conv_dataflows() {
     let shape = Shape::feature_map(16, 16, co);
     let codes: Vec<u8> = (0..shape.volume()).map(|i| (i % 256) as u8).collect();
     let x = QActivation::from_codes(shape, &codes, BitWidth::W8, 0);
-    let us = time_us(SAMPLES, || {
+    let us = measure(SAMPLES, || {
         let mut ops = OpCounts::default();
         pw.execute(black_box(&x), &mut ops)
     });
     report("conv_dataflow", "direct", us);
-    let us = time_us(SAMPLES, || blocked(&pw, black_box(&x)));
+    let us = measure(SAMPLES, || blocked(&pw, black_box(&x)));
     report("conv_dataflow", "blocked_gemm", us);
 }
 
@@ -287,7 +269,7 @@ fn bench_phase_breakdown() {
     // one-shot SIMD decode; 8-bit input → the pure memcpy gather).
     let mut scratch = Vec::new();
     for (name, x) in [("im2col_w4_in", &x4), ("im2col_w8_in", &x8)] {
-        let us = time_us(SAMPLES, || {
+        let us = measure(SAMPLES, || {
             let mut ops = OpCounts::default();
             conv.im2col_into(black_box(x), &mut scratch, None, &mut ops);
             ops
@@ -296,7 +278,7 @@ fn bench_phase_breakdown() {
     }
 
     // Phase 2: the full blocked GEMM (dot-product core + fused epilogue).
-    let us = time_us(SAMPLES, || blocked(&conv, black_box(&x8)));
+    let us = measure(SAMPLES, || blocked(&conv, black_box(&x8)));
     report("phase_breakdown", "gemm_blocked", us);
 
     // Phase 3: the requantization epilogue alone, over exactly the
@@ -305,7 +287,7 @@ fn bench_phase_breakdown() {
     let plan = conv.plan();
     let req = conv.requant();
     let mut codes = vec![0u8; pixels * co];
-    let us = time_us(SAMPLES, || {
+    let us = measure(SAMPLES, || {
         let (mut rq, mut tc) = (0u64, 0u64);
         for p in 0..pixels {
             vreq::apply_i32_block(
@@ -322,7 +304,7 @@ fn bench_phase_breakdown() {
         rq
     });
     report("phase_breakdown", "requant_epilogue", us);
-    let us = time_us(SAMPLES, || {
+    let us = measure(SAMPLES, || {
         let (mut rq, mut tc) = (0u64, 0u64);
         for (i, &a) in accs.iter().enumerate() {
             codes[i] = req.apply(i % co, black_box(a) as i64, &mut rq, &mut tc);
@@ -333,7 +315,7 @@ fn bench_phase_breakdown() {
 
     // Phase 4: sub-byte pack/unpack of the produced code volume.
     let mut packed = Vec::new();
-    let us = time_us(SAMPLES, || {
+    let us = measure(SAMPLES, || {
         packed =
             PackedTensor::pack_into(black_box(&codes), BitWidth::W4, std::mem::take(&mut packed))
                 .into_bytes();
@@ -342,7 +324,7 @@ fn bench_phase_breakdown() {
     report("phase_breakdown", "pack_w4", us);
     let tensor = PackedTensor::pack(&codes, BitWidth::W4);
     let mut unpacked = vec![0u8; codes.len()];
-    let us = time_us(SAMPLES, || tensor.unpack_into(black_box(&mut unpacked)));
+    let us = measure(SAMPLES, || tensor.unpack_into(black_box(&mut unpacked)));
     report("phase_breakdown", "unpack_w4", us);
 }
 
@@ -362,7 +344,7 @@ fn bench_graph_vs_loop() {
         graph.push(format!("blk{i}"), l.clone());
     }
     graph.select_kernels(&backend);
-    let us = time_us(SAMPLES, || {
+    let us = measure(SAMPLES, || {
         let run = graph.run(black_box(x.clone()));
         run.total_ops()
     });
@@ -376,17 +358,18 @@ fn bench_graph_vs_loop() {
         .map(|i| (i % 256) as u8)
         .collect();
     let xb = QActivation::from_codes(batched_shape, &batched_codes, BitWidth::W8, 0);
-    let us = time_us(SAMPLES, || {
+    let us = measure(SAMPLES, || {
         let run = graph.run(black_box(xb.clone()));
         run.total_ops()
-    }) / batch as f64;
+    })
+    .per_item(batch as f64);
     report(
         "graph_executor",
         &format!("qgraph_{}_batch{batch}_per_sample", backend.name()),
         us,
     );
 
-    let us = time_us(SAMPLES, || {
+    let us = measure(SAMPLES, || {
         let mut ops = OpCounts::default();
         let mut a = black_box(x.clone());
         for l in &layers {
@@ -398,7 +381,7 @@ fn bench_graph_vs_loop() {
 }
 
 fn main() {
-    println!("kernel microbench (median of {SAMPLES} runs, host CPU)");
+    println!("kernel microbench (median [p10–p90] of {SAMPLES} runs, host CPU)");
     bench_conv_bitwidths();
     bench_pc_vs_pl();
     bench_requant_modes();

@@ -8,7 +8,8 @@
 //!   im2col scratch each choice prices;
 //! * **modeled cycles** — the Cortex-M7 cycle model priced per selected
 //!   kernel from the executed ledger (deterministic; golden-tested);
-//! * **measured host latency** — median wall time of the direct loop vs
+//! * **measured host latency** — wall time (median [p10–p90] over `n`
+//!   runs, `harness::measure`) of the direct loop vs
 //!   the blocked GEMM (both through `QOp::execute_kernel`, the blocked one
 //!   with its prepacked panels, as a graph node runs it) on each dense
 //!   convolution's real input, plus whole-graph runs per backend
@@ -19,10 +20,9 @@
 //! `--backend reference|tiled` picks the whole-graph timing target).
 
 use std::hint::black_box;
-use std::time::Instant;
 
 use mixq_bench::harness::{
-    backend_arg, batch_arg, json_array, json_out_path, rule, write_json, JsonObject,
+    backend_arg, batch_arg, json_array, json_out_path, measure, rule, write_json, JsonObject,
 };
 use mixq_core::convert::{convert_with_backend, IntNetwork};
 use mixq_core::memory::QuantScheme;
@@ -38,22 +38,6 @@ use mixq_quant::{BitWidth, Granularity};
 use mixq_tensor::Shape;
 
 const SAMPLES: usize = 15;
-
-/// Median wall time of `f` over `SAMPLES` timed runs, in microseconds.
-fn time_us<T>(mut f: impl FnMut() -> T) -> f64 {
-    for _ in 0..2 {
-        black_box(f());
-    }
-    let mut runs: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
-            let t = Instant::now();
-            black_box(f());
-            t.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    runs.sort_by(|a, b| a.total_cmp(b));
-    runs[runs.len() / 2]
-}
 
 /// Executes the graph node by node keeping every intermediate activation
 /// live, so each layer can be re-timed on its real input.
@@ -157,10 +141,10 @@ fn main() {
     // conv's real input, each through the executor's dispatch point.
     println!("\n== measured host latency: direct loop vs blocked GEMM ==");
     println!(
-        "{:<10} {:>7} {:>12} {:>12} {:>9}",
-        "node", "kind", "direct µs", "blocked µs", "speedup"
+        "{:<10} {:>7} {:>30} {:>30} {:>9}",
+        "node", "kind", "direct µs [p10–p90]", "blocked µs [p10–p90]", "speedup"
     );
-    rule(55);
+    rule(91);
     let x = reference.quantize_input(image);
     let slots = intermediates(&reference, &x);
     let mut arena = ActivationArena::new();
@@ -176,7 +160,7 @@ fn main() {
             .expect("conv input is live");
         let (panels, _) = conv.prepack(KernelChoice::BlockedGemm);
         let mut run = |choice, cache| {
-            time_us(|| {
+            measure(SAMPLES, || {
                 let mut ops = OpCounts::default();
                 let out =
                     conv.execute_kernel(choice, cache, &[black_box(input)], &mut arena, &mut ops);
@@ -188,7 +172,7 @@ fn main() {
         let direct = run(KernelChoice::DirectConv, None);
         let blocked = run(KernelChoice::BlockedGemm, panels.as_ref());
         println!(
-            "{:<10} {:>7} {:>12.1} {:>12.1} {:>8.2}x",
+            "{:<10} {:>7} {:>30} {:>30} {:>8.2}x",
             node.name(),
             if conv.geometry().kernel_area() == 1 {
                 "pw"
@@ -197,10 +181,10 @@ fn main() {
             },
             direct,
             blocked,
-            direct / blocked
+            direct.median / blocked.median
         );
     }
-    rule(55);
+    rule(91);
 
     // Whole-graph host run under the --backend/--batch flags (every leg of
     // the CI bench-smoke matrix exercises a different dispatch path).
@@ -212,17 +196,18 @@ fn main() {
         let mut arena = ActivationArena::new();
         let mut logits = Vec::new();
         let mut ops = OpCounts::default();
-        time_us(|| {
+        measure(SAMPLES, || {
             let xb = target.quantize_input_items_pooled(ds.images(), 0, batch, &mut arena);
             target
                 .graph()
                 .infer_batch(xb, &mut arena, &mut logits, &mut ops);
-        }) / batch as f64
+        })
+        .per_item(batch as f64)
     } else {
-        time_us(|| target.infer_detailed(black_box(image)))
+        measure(SAMPLES, || target.infer_detailed(black_box(image)))
     };
     println!(
-        "\nwhole-graph run ({} backend, batch {batch}): {us:.1} µs/inference (host)",
+        "\nwhole-graph run ({} backend, batch {batch}): {us} µs/inference (host)",
         flagged.name()
     );
 

@@ -1,89 +1,27 @@
-//! Batch-N graph throughput: samples/sec of the residual MobileNet
-//! (`mobilenet_like_residual`) for batch ∈ {1, 4, 8, 32} under the
-//! reference and tiled backends, against the PR-4 baseline that packed
-//! the blocked-GEMM weight panel on **every call**.
+//! Batch-N memory model of the residual MobileNet
+//! (`mobilenet_like_residual`, 4-bit weights) for batch ∈ {1, 4, 8, 32}:
+//! the batched Eq. 7 peak RAM and the selected kernels' im2col scratch per
+//! batch size under the reference and tiled backends, plus the read-only
+//! footprint of the prepacked weight panels. Pure shape math, so `--json`
+//! is golden-tested byte for byte.
 //!
-//! Three views:
-//!
-//! * **deterministic shape math** (`--json`, golden-tested) — the batched
-//!   Eq. 7 peak RAM and the selected kernels' im2col scratch per batch
-//!   size, plus the read-only footprint of the prepacked weight panels;
-//!   timings are deliberately excluded so the golden stays byte-stable;
-//! * **measured throughput** (stdout and `--bench-json`, never goldened) —
-//!   steady-state samples/sec per backend × batch through the pooled
-//!   batched inference path, and the speedup of the prepacked tiled
-//!   backend at batch 8 over the per-call-packing baseline
-//!   (`QGraph::clear_prepack` + batch 1). Target ≥ 1.5×;
-//! * **bit-identity** — every backend × batch combination must produce
-//!   identical logits for the same samples (asserted on every run).
+//! Batched throughput is measured by `perfbench` (`w4_32px_b8`: samples/s
+//! with spreads, every logit checked); bit-identity across backend and
+//! batch is pinned by `backends_produce_bit_identical_logits` and
+//! `batch_matches_single_sample_logits`.
 //!
 //! Run with: `cargo bench --bench table_batch_throughput`
-//! (`--json <path>` writes the deterministic table, `--bench-json <path>`
-//! the measured throughput for `scripts/bench-report.sh`,
-//! `--backend reference|tiled` and `--batch N` pick the summary line's
-//! configuration).
+//! (`--json <path>` writes the deterministic table).
 
-use std::hint::black_box;
-use std::time::Instant;
-
-use mixq_bench::harness::{
-    backend_arg, batch_arg, bench_json_out_path, host_meta, json_array, json_out_path, rule,
-    write_json, JsonObject,
-};
-use mixq_core::convert::{convert_with_backend, IntNetwork};
+use mixq_bench::harness::{json_array, json_out_path, rule, write_json, JsonObject};
+use mixq_core::convert::convert_with_backend;
 use mixq_core::memory::QuantScheme;
 use mixq_data::{DatasetSpec, SyntheticKind};
-use mixq_kernels::{ActivationArena, Backend, OpCounts, ReferenceBackend, TiledBackend};
+use mixq_kernels::{ReferenceBackend, TiledBackend};
 use mixq_models::micro::mobilenet_like_residual;
 use mixq_nn::qat::QatNetwork;
-use mixq_tensor::Tensor;
 
 const BATCHES: [usize; 4] = [1, 4, 8, 32];
-const SWEEPS: usize = 7;
-
-/// Steady-state throughput of one backend at one batch size: median wall
-/// time of a full sweep over `images` (walking the graph once per `batch`
-/// samples through the pooled batched path), as samples/sec. Also returns
-/// the logits of the first batch for the bit-identity cross-check.
-fn throughput(net: &IntNetwork, images: &Tensor<f32>, batch: usize) -> (f64, Vec<i32>) {
-    let n = images.shape().n;
-    assert_eq!(n % batch, 0, "sweep uses full batches only");
-    let mut arena = ActivationArena::new();
-    let mut logits = Vec::new();
-    let mut ops = OpCounts::default();
-    let mut first_logits = Vec::new();
-    let sweep = |arena: &mut ActivationArena,
-                 logits: &mut Vec<i32>,
-                 ops: &mut OpCounts,
-                 mut keep_first: Option<&mut Vec<i32>>| {
-        let mut start = 0usize;
-        while start < n {
-            let x = net.quantize_input_items_pooled(images, start, batch, arena);
-            net.graph().infer_batch(x, arena, logits, ops);
-            if start == 0 {
-                if let Some(first) = keep_first.take() {
-                    first.extend(logits.iter().copied());
-                }
-            }
-            start += batch;
-        }
-    };
-    // Warm-up: grow every arena buffer to its steady capacity, and keep
-    // the first batch's logits for the caller's bit-identity check (the
-    // timed sweeps below run capture-free).
-    sweep(&mut arena, &mut logits, &mut ops, Some(&mut first_logits));
-    let mut runs: Vec<f64> = (0..SWEEPS)
-        .map(|_| {
-            let t = Instant::now();
-            sweep(&mut arena, &mut logits, &mut ops, None);
-            black_box(&logits);
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    runs.sort_by(|a, b| a.total_cmp(b));
-    let median = runs[runs.len() / 2];
-    (n as f64 / median, first_logits)
-}
 
 fn main() {
     let res = 32usize;
@@ -95,9 +33,8 @@ fn main() {
     let mut net = QatNetwork::build(&spec, 77);
     net.calibrate_input(ds.images());
     net.enable_fake_quant(mixq_quant::Granularity::PerChannel);
-    // 4-bit weights — the paper's mixed low-precision regime, where the
-    // per-call cost the prepack amortizes includes the sub-byte weight
-    // decode, not just the panel interleave.
+    // 4-bit weights — the paper's mixed low-precision regime, whose
+    // prepacked panels hold the sub-byte weights decoded once at build.
     for i in 0..net.num_blocks() {
         net.set_weight_bits(i, mixq_quant::BitWidth::W4);
     }
@@ -108,7 +45,7 @@ fn main() {
         .expect("calibrated network converts");
 
     println!(
-        "batch throughput — mobilenet_like_residual {res}px (width/8), {} nodes, {} samples",
+        "batch memory model — mobilenet_like_residual {res}px (width/8), {} nodes, {} samples",
         reference.graph().len(),
         ds.len()
     );
@@ -141,121 +78,15 @@ fn main() {
         json_batches.push(obj.render());
     }
 
-    // Measured steady-state throughput per backend × batch, plus the
-    // per-call-packing baseline (PR-4 behaviour: panels rebuilt every
-    // call) for the amortization headline.
-    println!("\n== measured host throughput (samples/sec; never goldened) ==");
-    println!(
-        "{:<7} {:>16} {:>16} {:>10}",
-        "batch", "reference", "tiled", "tiled×"
-    );
-    rule(54);
-    let mut thr: Vec<(usize, f64, f64)> = Vec::new();
-    let mut logits_at_batch1 = Vec::new();
-    for &b in &BATCHES {
-        let (sps_ref, lr) = throughput(&reference, ds.images(), b);
-        let (sps_tiled, lt) = throughput(&tiled, ds.images(), b);
-        // Bit-identity across backend and batch: the first b samples'
-        // logits must agree with the batch-1 reference rows.
-        assert_eq!(lr, lt, "backends must be bit-identical at batch {b}");
-        if b == 1 {
-            logits_at_batch1 = lr.clone();
-        } else {
-            let classes = logits_at_batch1.len();
-            assert_eq!(
-                &lr[..classes],
-                &logits_at_batch1[..],
-                "batch-{b} row 0 must equal the batch-1 logits"
-            );
-        }
-        println!(
-            "{b:<7} {sps_ref:>16.1} {sps_tiled:>16.1} {:>9.2}x",
-            sps_tiled / sps_ref
-        );
-        thr.push((b, sps_ref, sps_tiled));
-    }
-    // The PR-4 baseline, measured the way PR 4's bench measured it: the
-    // blocked path with no prepack caches, one `infer_detailed` graph walk
-    // per sample — weight panels, sub-byte weight decodes and the im2col
-    // buffer all rebuilt per call.
-    let mut percall = tiled.clone();
-    percall.clear_prepack();
-    let sps_percall = {
-        let n = ds.len();
-        let sweep = || {
-            for i in 0..n {
-                black_box(percall.infer_detailed(black_box(&ds.sample(i).images)));
-            }
-        };
-        sweep(); // warm-up
-        let mut runs: Vec<f64> = (0..SWEEPS)
-            .map(|_| {
-                let t = Instant::now();
-                sweep();
-                t.elapsed().as_secs_f64()
-            })
-            .collect();
-        runs.sort_by(|a, b| a.total_cmp(b));
-        n as f64 / runs[runs.len() / 2]
-    };
-    let sps_tiled_b8 = thr.iter().find(|t| t.0 == 8).expect("batch 8 measured").2;
-    let speedup = sps_tiled_b8 / sps_percall;
-    rule(54);
-    println!(
-        "per-call-packing blocked baseline (batch 1): {sps_percall:.1} samples/sec\n\
-         prepacked tiled at batch 8: {sps_tiled_b8:.1} samples/sec — {speedup:.2}x (target >= 1.5x)"
-    );
-
-    // Whole-run summary under the bench-smoke flags.
-    let flagged_backend = backend_arg();
-    let flagged_batch = batch_arg();
-    let mut flagged = reference.clone();
-    flagged.select_backend(&flagged_backend);
-    let batch = flagged_batch.min(ds.len());
-    let batch = (1..=batch).rev().find(|b| ds.len() % b == 0).unwrap_or(1);
-    let (sps, flagged_first) = throughput(&flagged, ds.images(), batch);
-    let classes = logits_at_batch1.len();
-    assert_eq!(
-        &flagged_first[..classes],
-        &logits_at_batch1[..],
-        "flagged walk must be bit-identical to the batch-1 reference logits"
-    );
-    println!(
-        "\nflagged run ({} backend, batch {batch}): {sps:.1} samples/sec",
-        flagged_backend.name()
-    );
-
     if let Some(path) = json_out_path() {
         let mut root = JsonObject::new();
         root.string("bench", "table_batch_throughput")
             .string("network", &format!("mobilenet_like_residual_{res}px_w4"))
             .int("nodes", reference.graph().len())
-            .raw("batches", json_array(json_batches.clone()))
+            .raw("batches", json_array(json_batches))
             .int("prepacked_bytes_reference", reference.prepacked_bytes())
             .int("prepacked_bytes_tiled", tiled.prepacked_bytes())
             .int("flash_bytes", reference.flash_bytes());
-        write_json(&path, &root.render());
-    }
-    if let Some(path) = bench_json_out_path() {
-        let mut root = JsonObject::new();
-        root.string("bench", "table_batch_throughput")
-            .string("network", &format!("mobilenet_like_residual_{res}px_w4"))
-            .raw("host", host_meta(1).render());
-        let rows = thr.iter().map(|&(b, r, t)| {
-            let mut obj = JsonObject::new();
-            obj.int("batch", b)
-                .raw("reference_samples_per_sec", format!("{r:.1}"))
-                .raw("tiled_samples_per_sec", format!("{t:.1}"));
-            obj.render()
-        });
-        root.raw("throughput", json_array(rows))
-            .raw(
-                "percall_packing_samples_per_sec",
-                format!("{sps_percall:.1}"),
-            )
-            .raw("tiled_batch8_samples_per_sec", format!("{sps_tiled_b8:.1}"))
-            .raw("speedup_batch8_vs_percall", format!("{speedup:.2}"))
-            .bool("meets_1_5x_target", speedup >= 1.5);
         write_json(&path, &root.render());
     }
 }

@@ -1,7 +1,7 @@
 //! Single-walk scaling: samples/sec of one batched graph walk of the W4
 //! residual MobileNet under the prepacked tiled backend, across
-//! threads ∈ {1, 2, 4} × {forced-scalar, auto-detected SIMD} — the PR-6
-//! headline against the PR-5 scalar serial baseline (threads 1, scalar).
+//! threads ∈ {1, 2, 4} × {forced-scalar, auto-detected SIMD}, against the
+//! scalar serial baseline (threads 1, scalar).
 //!
 //! Three views:
 //!
@@ -13,12 +13,14 @@
 //!   uses on the stem conv's im2col matrix;
 //! * **measured throughput** (stdout and `--bench-json`, never goldened)
 //!   — steady-state samples/sec per thread × SIMD configuration through
-//!   the pooled batched path. Targets: auto-SIMD at 1 thread ≥ 1.25×
-//!   (floor) / ≥ 1.5× (stretch) the scalar 1-thread baseline, and the
-//!   4-thread intra-walk configuration ≥ 2.5× scalar 1-thread — the
-//!   latter reported `null`/skipped (not `false`) when the host's
-//!   `available_parallelism` (recorded in the JSON) cannot express 4
-//!   genuine workers;
+//!   the pooled batched path, as median [p10–p90] over `n` sweeps
+//!   (`harness::measure`). perfbench times one configuration of this walk
+//!   end to end (`w4_32px_b8`); the thread sweep is only here. Targets:
+//!   auto-SIMD at 1 thread ≥ 1.25× (floor) / ≥ 1.5× (stretch) the scalar
+//!   1-thread baseline, and the 4-thread intra-walk configuration ≥ 2.5×
+//!   scalar 1-thread — the latter reported `null`/skipped (not `false`)
+//!   when the host's `available_parallelism` (recorded in the JSON)
+//!   cannot express 4 genuine workers;
 //! * **bit-identity** — every configuration must produce identical
 //!   logits *and* identical `OpCounts` (asserted on every run), so
 //!   modeled MCU cycles never move with host execution strategy.
@@ -27,13 +29,11 @@
 //! (`--json <path>` writes the deterministic golden, `--bench-json
 //! <path>` the measured scaling table for `scripts/bench-report.sh`).
 
-use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
 
 use mixq_bench::harness::{
-    available_cores, bench_json_out_path, gated_target, host_meta, json_array, json_out_path, rule,
-    write_json, JsonObject,
+    available_cores, bench_json_out_path, gated_target, host_meta, json_array, json_out_path,
+    measure, rule, write_json, JsonObject, Measurement,
 };
 use mixq_core::convert::{convert_with_backend, IntNetwork};
 use mixq_core::memory::QuantScheme;
@@ -49,18 +49,18 @@ use mixq_tensor::Tensor;
 
 const BATCH: usize = 8;
 const THREADS: [usize; 3] = [1, 2, 4];
-const SWEEPS: usize = 7;
+const SAMPLES: usize = 31;
 
 /// Steady-state samples/sec of full sweeps over `images`, one graph walk
 /// per [`BATCH`] samples, with an intra-walk pool of `threads` attached
-/// outside the timed region. Returns the median-of-sweeps throughput plus
-/// the full-dataset logits and total op counts of one sweep for the
-/// bit-identity cross-checks.
+/// outside the timed region. Returns the throughput's spread over
+/// [`SAMPLES`] sweeps plus the full-dataset logits and op counts of one
+/// sweep for the bit-identity cross-checks.
 fn walk_throughput(
     net: &IntNetwork,
     images: &Tensor<f32>,
     threads: usize,
-) -> (f64, Vec<i32>, OpCounts) {
+) -> (Measurement, Vec<i32>, OpCounts) {
     let n = images.shape().n;
     assert_eq!(n % BATCH, 0, "sweep uses full batches only");
     let mut arena = ActivationArena::new();
@@ -70,42 +70,17 @@ fn walk_throughput(
     let mut logits = Vec::new();
     let mut all_logits = Vec::new();
     let mut ops = OpCounts::default();
-    let mut sweep_ops = OpCounts::default();
-    let sweep = |arena: &mut ActivationArena,
-                 logits: &mut Vec<i32>,
-                 ops: &mut OpCounts,
-                 mut keep: Option<(&mut Vec<i32>, &mut OpCounts)>| {
-        let mut start = 0usize;
-        while start < n {
-            let x = net.quantize_input_items_pooled(images, start, BATCH, arena);
-            net.graph().infer_batch(x, arena, logits, ops);
-            if let Some((all, _)) = keep.as_mut() {
-                all.extend(logits.iter().copied());
-            }
-            start += BATCH;
+    let sweep = measure(SAMPLES, || {
+        all_logits.clear();
+        ops = OpCounts::default();
+        for start in (0..n).step_by(BATCH) {
+            let x = net.quantize_input_items_pooled(images, start, BATCH, &mut arena);
+            net.graph()
+                .infer_batch(x, &mut arena, &mut logits, &mut ops);
+            all_logits.extend_from_slice(&logits);
         }
-        if let Some((_, total)) = keep {
-            *total = *ops;
-        }
-    };
-    // Warm-up: grow the arena to steady capacity and capture the logits
-    // and ledger for the caller's identity checks.
-    sweep(
-        &mut arena,
-        &mut logits,
-        &mut ops,
-        Some((&mut all_logits, &mut sweep_ops)),
-    );
-    let mut runs: Vec<f64> = (0..SWEEPS)
-        .map(|_| {
-            let t = Instant::now();
-            sweep(&mut arena, &mut logits, &mut ops, None);
-            black_box(&logits);
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    runs.sort_by(|a, b| a.total_cmp(b));
-    (n as f64 / runs[runs.len() / 2], all_logits, sweep_ops)
+    });
+    (sweep.rate(n as f64), all_logits, ops)
 }
 
 fn main() {
@@ -140,11 +115,11 @@ fn main() {
     // loop restores auto detection afterwards.
     println!("\n== measured single-walk throughput (samples/sec; never goldened) ==");
     println!(
-        "{:<9} {:>14} {:>14} {:>8}",
-        "threads", "scalar", "simd", "simd×"
+        "{:<9} {:>30} {:>30} {:>8}",
+        "threads", "scalar [p10–p90]", "simd [p10–p90]", "simd×"
     );
-    rule(48);
-    let mut rows: Vec<(usize, f64, f64)> = Vec::new();
+    rule(80);
+    let mut rows: Vec<(usize, Measurement, Measurement)> = Vec::new();
     let mut baseline: Option<(Vec<i32>, OpCounts)> = None;
     for &t in &THREADS {
         simd::set_forced(Some(SimdLevel::Scalar));
@@ -159,8 +134,8 @@ fn main() {
         assert_eq!(o_scalar, *bo, "scalar op counts diverged at {t} threads");
         assert_eq!(o_simd, *bo, "SIMD op counts diverged at {t} threads");
         println!(
-            "{t:<9} {sps_scalar:>14.1} {sps_simd:>14.1} {:>7.2}x",
-            sps_simd / sps_scalar
+            "{t:<9} {sps_scalar:>30} {sps_simd:>30} {:>7.2}x",
+            sps_simd.median / sps_scalar.median
         );
         rows.push((t, sps_scalar, sps_simd));
     }
@@ -169,9 +144,14 @@ fn main() {
     let modeled = model.cycles_from_counts(&base_ops);
     println!("modeled Cortex-M7 cycles per sweep (invariant across all configs): {modeled}");
 
-    let scalar_1t = rows[0].1;
-    let simd_1t = rows[0].2;
-    let simd_4t = rows.iter().find(|r| r.0 == 4).expect("4-thread row").2;
+    let scalar_1t = rows[0].1.median;
+    let simd_1t = rows[0].2.median;
+    let simd_4t = rows
+        .iter()
+        .find(|r| r.0 == 4)
+        .expect("4-thread row")
+        .2
+        .median;
     let speedup_simd = simd_1t / scalar_1t;
     let speedup_4t = simd_4t / scalar_1t;
     // The multi-thread target is only expressible when the host can
@@ -180,7 +160,7 @@ fn main() {
     // the flag is skipped (null in the JSON) rather than reported false.
     // `gated_target` below applies the same rule to the measured JSON.
     let cores = available_cores();
-    rule(48);
+    rule(80);
     println!(
         "SIMD @1T vs scalar @1T: {speedup_simd:.2}x (targets >= 1.25x floor, >= 1.5x stretch)"
     );
@@ -230,8 +210,8 @@ fn main() {
         let cfg_rows = rows.iter().map(|&(t, s, v)| {
             let mut obj = JsonObject::new();
             obj.int("threads", t)
-                .raw("scalar_samples_per_sec", format!("{s:.1}"))
-                .raw("simd_samples_per_sec", format!("{v:.1}"));
+                .raw("scalar_samples_per_sec", s.json())
+                .raw("simd_samples_per_sec", v.json());
             obj.render()
         });
         root.raw("throughput", json_array(cfg_rows))

@@ -115,6 +115,98 @@ pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
 }
 
+/// The spread of one timed quantity, as [`measure`] returns it: the
+/// median with the 10th and 90th percentiles over `n` samples (nearest
+/// rank). Times are in microseconds; [`Measurement::rate`] and
+/// [`Measurement::per_item`] rescale all three points together.
+///
+/// Displays as `median [p10–p90] n=N`, padded to the format width.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Measurement {
+    /// Median.
+    pub median: f64,
+    /// 10th percentile.
+    pub p10: f64,
+    /// 90th percentile.
+    pub p90: f64,
+    /// Number of timed samples.
+    pub n: usize,
+}
+
+impl Measurement {
+    /// Converts a time per call (µs) into `items` per second. The order
+    /// flips: the rate's p10 comes from the time's p90.
+    pub fn rate(self, items: f64) -> Measurement {
+        let per_s = |us: f64| items * 1e6 / us;
+        Measurement {
+            median: per_s(self.median),
+            p10: per_s(self.p90),
+            p90: per_s(self.p10),
+            n: self.n,
+        }
+    }
+
+    /// The time per call split evenly over `items` (e.g. per sample of a
+    /// batched walk).
+    pub fn per_item(self, items: f64) -> Measurement {
+        Measurement {
+            median: self.median / items,
+            p10: self.p10 / items,
+            p90: self.p90 / items,
+            n: self.n,
+        }
+    }
+
+    /// The measured-JSON form: `{"median", "p10", "p90", "n"}`.
+    pub fn json(&self) -> String {
+        let mut obj = JsonObject::new();
+        obj.raw("median", format!("{:.1}", self.median))
+            .raw("p10", format!("{:.1}", self.p10))
+            .raw("p90", format!("{:.1}", self.p90))
+            .int("n", self.n);
+        obj.render()
+    }
+}
+
+impl std::fmt::Display for Measurement {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.pad(&format!(
+            "{:.1} [{:.1}–{:.1}] n={}",
+            self.median, self.p10, self.p90, self.n
+        ))
+    }
+}
+
+/// The one host timer of the benches: calls `f` twice to warm up (caches,
+/// arena buffers), then times `samples` calls on the monotonic clock and
+/// returns their spread in microseconds. Each result goes through
+/// [`std::hint::black_box`] so the work is not optimized away.
+///
+/// # Panics
+///
+/// Panics if `samples` is zero.
+pub fn measure<T>(samples: usize, mut f: impl FnMut() -> T) -> Measurement {
+    assert!(samples > 0, "need at least one timed sample");
+    for _ in 0..2 {
+        std::hint::black_box(f());
+    }
+    let mut runs: Vec<f64> = (0..samples)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            std::hint::black_box(f());
+            t.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    runs.sort_by(f64::total_cmp);
+    let at = |q: f64| runs[((samples - 1) as f64 * q).round() as usize];
+    Measurement {
+        median: at(0.5),
+        p10: at(0.1),
+        p90: at(0.9),
+        n: samples,
+    }
+}
+
 /// The `--json <path>` target from the bench binary's arguments, if given.
 ///
 /// Each Table/Figure bench accepts `--json` and writes its *deterministic*
@@ -343,6 +435,23 @@ pub fn write_json(path: &std::path::Path, rendered: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn measurement_rescales_all_three_points() {
+        let m = Measurement {
+            median: 200.0,
+            p10: 100.0,
+            p90: 400.0,
+            n: 5,
+        };
+        assert_eq!(m.per_item(4.0).median, 50.0);
+        let r = m.rate(8.0);
+        assert_eq!((r.p10, r.median, r.p90), (20_000.0, 40_000.0, 80_000.0));
+        assert_eq!(format!("{m}"), "200.0 [100.0–400.0] n=5");
+        let timed = measure(3, || 7);
+        assert!(timed.p10 <= timed.median && timed.median <= timed.p90);
+        assert_eq!(timed.n, 3);
+    }
 
     #[test]
     fn stress_runner_smoke() {

@@ -10,7 +10,8 @@
 //!   without the dataset (see `DESIGN.md`, "Substitutions"); footprints,
 //!   bit assignments and latency trends are recomputed from scratch.
 //! * [`harness`] — the synthetic-data training runner shared by the
-//!   accuracy-shaped benches.
+//!   accuracy-shaped benches, the JSON writer, and the one host timer
+//!   ([`harness::measure`]) every timing bench reports through.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

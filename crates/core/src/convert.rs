@@ -100,8 +100,8 @@ impl IntNetwork {
 
     /// Checks an untrusted request tensor against the network's input
     /// declaration, returning its batch size — the non-panicking serving
-    /// boundary the `try_*` inference APIs and `mixq-serve` admission run
-    /// before any kernel touches the data.
+    /// boundary `mixq-serve` admission runs before any kernel touches the
+    /// data.
     ///
     /// # Errors
     ///
@@ -182,36 +182,6 @@ impl IntNetwork {
         self.graph.run(self.quantize_input(image))
     }
 
-    /// Runs integer-only inference on a stacked `(N, h, w, c)` image
-    /// tensor in **one graph walk**, behind the request validation of
-    /// [`IntNetwork::validate_request`] — the serving layer's workhorse: a
-    /// wrong-shape, wrong-length or empty tensor comes back as a typed
-    /// [`MixQError`] instead of a panic. Returns the per-sample logits
-    /// (one `Vec` per item, in order) and the total op counts,
-    /// bit-identical to N [`IntNetwork::infer`] calls; the batch amortizes
-    /// per-layer dispatch and streams each node's prepacked weights across
-    /// all samples.
-    ///
-    /// # Errors
-    ///
-    /// See [`IntNetwork::validate_request`].
-    pub fn try_infer_batch(
-        &self,
-        images: &Tensor<f32>,
-    ) -> Result<(Vec<Vec<i32>>, OpCounts), MixQError> {
-        let batch = self.validate_request(images)?;
-        let mut arena = ActivationArena::new();
-        let mut logits = Vec::new();
-        let mut ops = OpCounts::default();
-        let x = self.quantize_input_items_pooled(images, 0, batch, &mut arena);
-        self.graph.infer_batch(x, &mut arena, &mut logits, &mut ops);
-        let per_sample = logits
-            .chunks(self.num_classes())
-            .map(<[i32]>::to_vec)
-            .collect();
-        Ok((per_sample, ops))
-    }
-
     /// Quantizes `count` consecutive items of a stacked `(N, h, w, c)`
     /// image tensor, starting at `start`, into **one** batched activation
     /// `(count, h, w, c)`, drawing all buffers from `arena` — together
@@ -256,88 +226,39 @@ impl IntNetwork {
     }
 
     /// Classification accuracy over a dataset plus total op counts —
-    /// [`IntNetwork::evaluate_with`] one sample at a time on the caller
-    /// thread.
+    /// [`IntNetwork::evaluate_with`] one sample at a time.
     pub fn evaluate(&self, dataset: &Dataset) -> (f32, OpCounts) {
-        self.evaluate_with(dataset, 1, 1)
+        self.evaluate_with(dataset, 1)
     }
 
     /// Classification accuracy over a dataset plus total op counts,
-    /// walking the graph once per `batch` samples: each walk quantizes the
-    /// next `batch` images into one stacked activation and sweeps every
-    /// layer across all of them, so per-layer dispatch and
-    /// prepacked-weight streaming are amortized.
-    ///
-    /// With `workers == 1` the walks run on the caller thread. Otherwise
-    /// the dataset's `⌈n / batch⌉` batches are sharded into contiguous
-    /// runs over `workers` scoped threads, one arena each. Every graph
-    /// walk keeps its full batch width (only the final batch may be
-    /// partial) and runs serially; intra-walk splitting attaches to an
+    /// walking the graph once per `batch` samples on the caller thread:
+    /// each walk quantizes the next `batch` images into one stacked
+    /// activation and sweeps every layer across all of them, so per-layer
+    /// dispatch and prepacked-weight streaming are amortized. Only the
+    /// final batch may be partial; intra-walk splitting attaches to an
     /// arena instead ([`ActivationArena::set_pool`]).
     ///
-    /// Accuracy and `OpCounts` are bit-identical for every `batch` and
-    /// `workers` (batches are disjoint and ledger sums order-independent;
-    /// asserted by the batch proptests). Each shard recycles one arena
-    /// across its walks — the pooled path `tests/alloc_free.rs` holds
-    /// allocation-free in steady state.
+    /// Accuracy and `OpCounts` are bit-identical for every `batch`
+    /// (`tests/dag_executor.rs`). One arena is recycled across the walks —
+    /// the pooled path `tests/alloc_free.rs` holds allocation-free in
+    /// steady state.
     ///
     /// # Panics
     ///
-    /// Panics if `batch` or `workers` is zero.
-    pub fn evaluate_with(
-        &self,
-        dataset: &Dataset,
-        batch: usize,
-        workers: usize,
-    ) -> (f32, OpCounts) {
+    /// Panics if `batch` is zero.
+    pub fn evaluate_with(&self, dataset: &Dataset, batch: usize) -> (f32, OpCounts) {
         assert!(batch > 0, "batch size must be positive");
-        assert!(workers > 0, "need at least one worker");
         let n = dataset.len();
         if n == 0 {
             return (0.0, OpCounts::default());
         }
-        let num_batches = n.div_ceil(batch);
-        let (correct, ops) = if workers == 1 {
-            self.evaluate_shard(dataset, batch, 0..num_batches, ActivationArena::new())
-        } else {
-            let workers = workers.min(num_batches);
-            let chunk = num_batches.div_ceil(workers);
-            let mut results = vec![(0usize, OpCounts::default()); workers];
-            std::thread::scope(|s| {
-                for (w, slot) in results.iter_mut().enumerate() {
-                    let batches = w * chunk..((w + 1) * chunk).min(num_batches);
-                    s.spawn(move || {
-                        *slot =
-                            self.evaluate_shard(dataset, batch, batches, ActivationArena::new());
-                    });
-                }
-            });
-            results
-                .into_iter()
-                .fold((0, OpCounts::default()), |(c, o), (c2, o2)| {
-                    (c + c2, o + o2)
-                })
-        };
-        (correct as f32 / n as f32, ops)
-    }
-
-    /// The per-shard loop of [`IntNetwork::evaluate_with`]: walks the
-    /// dataset's `batches` (indices of `batch`-sized runs) through `arena`,
-    /// returning the number of correct predictions and the op ledger.
-    fn evaluate_shard(
-        &self,
-        dataset: &Dataset,
-        batch: usize,
-        batches: std::ops::Range<usize>,
-        mut arena: ActivationArena,
-    ) -> (usize, OpCounts) {
-        let n = dataset.len();
         let classes = self.num_classes();
+        let mut arena = ActivationArena::new();
         let mut logits = Vec::new();
         let mut ops = OpCounts::default();
         let mut correct = 0usize;
-        for b in batches {
-            let start = b * batch;
+        for start in (0..n).step_by(batch) {
             let count = batch.min(n - start);
             let x = self.quantize_input_items_pooled(dataset.images(), start, count, &mut arena);
             self.graph.infer_batch(x, &mut arena, &mut logits, &mut ops);
@@ -348,7 +269,7 @@ impl IntNetwork {
                 .filter(|&(row, &label)| argmax(row) == label)
                 .count();
         }
-        (correct, ops)
+        (correct as f32 / n as f32, ops)
     }
 
     /// A copy of the network whose threshold tables are saturated to the
@@ -413,15 +334,6 @@ impl IntNetwork {
     /// [`IntNetwork::flash_bytes`].
     pub fn prepacked_bytes(&self) -> usize {
         self.graph.prepacked_bytes()
-    }
-
-    /// Drops every node's prepack cache
-    /// ([`QGraph::clear_prepack`](mixq_kernels::QGraph::clear_prepack)),
-    /// reverting to per-call packing — for deployments that cannot afford
-    /// the panel copies, and for benchmarking the amortization itself.
-    /// Bit-identical, only slower.
-    pub fn clear_prepack(&mut self) {
-        self.graph.clear_prepack();
     }
 
     /// Actual flash bytes of this network: packed weights plus every static
@@ -867,32 +779,24 @@ mod tests {
         // Wrong per-item shape.
         let bad = Tensor::full(Shape::feature_map(4, 4, 2), 0.5);
         assert!(matches!(
-            int_net.try_infer_batch(&bad),
+            int_net.validate_request(&bad),
             Err(MixQError::InputShapeMismatch { .. })
         ));
         // Oversized request: right item volume, absurd spatial dims.
         let huge = Tensor::full(Shape::new(1, 64, 64, 2), 0.5);
         assert!(matches!(
-            int_net.try_infer_batch(&huge),
+            int_net.validate_request(&huge),
             Err(MixQError::InputShapeMismatch { .. })
         ));
         // Zero-item batch.
         let empty = Tensor::zeros(Shape::new(0, 8, 8, 2));
         assert!(matches!(
-            int_net.try_infer_batch(&empty),
+            int_net.validate_request(&empty),
             Err(MixQError::EmptyBatch)
         ));
-        // Well-formed requests pass through bit-identically.
-        let img = &ds.sample(0).images;
-        assert_eq!(
-            int_net.try_infer_batch(img).expect("valid").0,
-            vec![int_net.infer(img).0]
-        );
-        let (rows, _) = int_net
-            .try_infer_batch(&two_stack(&ds))
-            .expect("valid batch");
-        assert_eq!(rows[0], int_net.infer(&ds.sample(0).images).0);
-        assert_eq!(rows[1], int_net.infer(&ds.sample(1).images).0);
+        // Well-formed requests pass with their batch size.
+        assert_eq!(int_net.validate_request(&ds.sample(0).images), Ok(1));
+        assert_eq!(int_net.validate_request(&two_stack(&ds)), Ok(2));
     }
 
     fn two_stack(ds: &Dataset) -> Tensor<f32> {

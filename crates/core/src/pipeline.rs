@@ -243,7 +243,7 @@ pub fn deploy(
             });
         }
     }
-    let (int_accuracy, _) = int_net.evaluate_with(dataset, cfg.batch, 1);
+    let (int_accuracy, _) = int_net.evaluate_with(dataset, cfg.batch);
     // Phase 4: verification — loss(g'(x)) ≈ loss(g(x)) at prediction level.
     let prediction_agreement = prediction_agreement(&net, &int_net, dataset);
     let (_, ops) = int_net.infer(&dataset.sample(0).images);

@@ -717,8 +717,7 @@ impl GraphNode {
     }
 
     /// The node's prepacked weight operand, built once when the kernel
-    /// choice was resolved; `None` when the op has nothing to cache (or
-    /// after [`QGraph::clear_prepack`]).
+    /// choice was resolved; `None` when the op has nothing to cache.
     pub fn prepacked(&self) -> Option<&PrepackedWeights> {
         self.cache.as_ref()
     }
@@ -1039,24 +1038,13 @@ impl QGraph {
             }
             let choice = resolve_choice(backend, &node.name, &node.op, &in_shapes, &in_bits_v);
             // Rebuild the cache only when the choice changed (a different
-            // artifact form applies) or none is held (first selection, or
-            // after `clear_prepack`) — re-selecting with the same backend
-            // must not redo the sub-byte decode per node.
-            if choice != node.choice || node.cache.is_none() {
+            // artifact form applies) — `push`/`push_node` already built it
+            // for the initial choice, and re-selecting with the same
+            // backend must not redo the sub-byte decode per node.
+            if choice != node.choice {
                 node.choice = choice;
                 node.build_prepack();
             }
-        }
-    }
-
-    /// Drops every node's prepack cache, reverting execution to per-call
-    /// packing (bit-identical, slower) — for RAM-constrained deployments
-    /// that cannot afford the panel copies, and for benchmarking the
-    /// amortization itself.
-    pub fn clear_prepack(&mut self) {
-        for node in &mut self.nodes {
-            node.cache = None;
-            node.prepack_ops = OpCounts::default();
         }
     }
 

@@ -103,23 +103,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "MISMATCH"
         }
     );
-
-    // Sharded evaluation: one arena per worker, identical results.
-    let t_seq = Instant::now();
-    let (acc_seq, ops_seq) = int_net.evaluate(&ds);
-    let t_seq = t_seq.elapsed();
-    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let t_par = Instant::now();
-    let (acc_par, ops_par) = int_net.evaluate_with(&ds, 1, workers);
-    let t_par = t_par.elapsed();
-    assert_eq!((acc_seq, ops_seq), (acc_par, ops_par), "shards must agree");
-    println!(
-        "\nevaluate {} samples: sequential {:.2?} | {} workers {:.2?} (accuracy {:.1}%, identical ledgers)",
-        ds.len(),
-        t_seq,
-        workers,
-        t_par,
-        acc_par * 100.0
-    );
     Ok(())
 }

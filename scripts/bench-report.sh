@@ -1,33 +1,28 @@
 #!/usr/bin/env bash
-# Emits the machine-readable performance reports at the repo root:
+# Emits the one measured performance report kept at the repo root:
 #
-#   BENCH_batch.json — measured host throughput (samples/sec) of the
-#     residual MobileNet per batch size and backend, the per-call-packing
-#     PR-4 baseline, and the batch-8 speedup of the prepacked tiled path.
-#   BENCH_walk.json  — the SIMD × threads scaling table of one batch-8
-#     walk: forced-scalar vs auto-detected SIMD at 1 thread, and the
-#     intra-walk worker-pool sweep, with kernel-level GEMM ratios.
-#   BENCH_serve.json — the serving-load table: p50/p99 latency, shed and
-#     degradation splits of the mixq-serve runtime per offered
-#     inter-arrival gap × worker count (4-worker target null/skipped on
-#     hosts that cannot run 4 genuine workers).
+#   BENCH_walk.json — the SIMD × threads scaling table of one batch-8
+#     walk of the W4 residual MobileNet: forced-scalar vs auto-detected
+#     SIMD at 1, 2 and 4 intra-walk threads, each as samples/sec median
+#     [p10–p90] over n sweeps.
+#
+# It is the only report because the thread sweep is the only measurement
+# perfbench/ does not make. End-to-end throughput, per-class traces and
+# serve capacity come from perfbench (see BENCHMARK.json), which reports
+# spreads and checks every logit; a second copy of those timings here
+# would only be a weaker one.
 #
 # Unlike the deterministic goldens under tests/goldens/ (shape math,
-# byte-diffed in CI), these files hold *measured* numbers: commit them
-# after an intentional perf change so future PRs have a throughput
-# trajectory to compare against. Never golden-diffed. Each report stamps
-# the rustc host target, detected CPU features and thread count so a
-# number is never read without its machine context.
+# byte-diffed in CI), this file holds *measured* numbers: commit it after
+# an intentional perf change. Never golden-diffed. It stamps the rustc
+# host target, detected CPU features and core count so a number is never
+# read without its machine context.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root="$PWD"
 MIXQ_RUSTC_TARGET="$(rustc -vV | sed -n 's/^host: //p')"
 export MIXQ_RUSTC_TARGET
-cargo bench --bench table_batch_throughput -- \
-  --bench-json "$root/BENCH_batch.json"
 cargo bench --bench table_walk_scaling -- \
   --bench-json "$root/BENCH_walk.json"
-cargo bench --bench table_serve_load -- \
-  --bench-json "$root/BENCH_serve.json"
-echo "perf reports written:"
-cat "$root/BENCH_batch.json" "$root/BENCH_walk.json" "$root/BENCH_serve.json"
+echo "perf report written:"
+cat "$root/BENCH_walk.json"
