@@ -155,15 +155,18 @@ impl IntNetwork {
     /// Panics if the image is not a single item of the expected shape.
     pub fn quantize_input(&self, image: &Tensor<f32>) -> QActivation {
         assert_eq!(image.shape(), self.input_shape, "input shape");
-        let codes: Vec<u8> = image
-            .data()
-            .iter()
-            .map(|&v| self.input_quant.quantize(v) as u8)
-            .collect();
-        QActivation::from_codes(
-            self.input_shape,
-            &codes,
-            BitWidth::W8,
+        self.quantize_items(image.data(), 1, Vec::new())
+    }
+
+    /// Quantizes `count` stacked items (`src`) into `storage`, which
+    /// becomes the `W8` activation's buffer.
+    fn quantize_items(&self, src: &[f32], count: usize, mut storage: Vec<u8>) -> QActivation {
+        storage.clear();
+        storage.resize(src.len(), 0);
+        self.input_quant.quantize_into(src, &mut storage);
+        QActivation::from_w8_codes(
+            self.input_shape.with_batch(count),
+            storage,
             self.input_quant.zero_point() as u8,
         )
     }
@@ -184,7 +187,8 @@ impl IntNetwork {
 
     /// Quantizes `count` consecutive items of a stacked `(N, h, w, c)`
     /// image tensor, starting at `start`, into **one** batched activation
-    /// `(count, h, w, c)`, drawing all buffers from `arena` — together
+    /// `(count, h, w, c)`, writing the `W8` codes straight into a recycled
+    /// packed buffer drawn from `arena` — together
     /// with [`QGraph::infer_batch`](mixq_kernels::QGraph::infer_batch), the
     /// allocation-free steady-state inference path.
     ///
@@ -207,22 +211,8 @@ impl IntNetwork {
         );
         assert!(start + count <= images.shape().n, "batch range");
         let item = self.input_shape.volume();
-        let mut codes = arena.take_scratch();
-        codes.clear();
-        codes.extend(
-            images.data()[start * item..(start + count) * item]
-                .iter()
-                .map(|&v| self.input_quant.quantize(v) as u8),
-        );
-        let act = QActivation::from_codes_in(
-            self.input_shape.with_batch(count),
-            &codes,
-            BitWidth::W8,
-            self.input_quant.zero_point() as u8,
-            arena.take_packed(),
-        );
-        arena.put_scratch(codes);
-        act
+        let src = &images.data()[start * item..(start + count) * item];
+        self.quantize_items(src, count, arena.take_packed())
     }
 
     /// Classification accuracy over a dataset plus total op counts —
@@ -625,6 +615,70 @@ mod tests {
             convert(&net2, QuantScheme::PerChannelIcn).unwrap_err(),
             MixQError::NotFakeQuantized
         );
+    }
+
+    #[test]
+    fn input_quantization_matches_per_element_quantize() {
+        let spec = MicroCnnSpec::new(8, 8, 2, 3, &[4]);
+        let mut net = QatNetwork::build(&spec, 5);
+        let item = Shape::feature_map(8, 8, 2);
+        let ramp = (0..item.volume()).map(|i| i as f32 / 40.0 - 1.0).collect();
+        net.calibrate_input(&Tensor::from_vec(item, ramp).unwrap());
+        net.enable_fake_quant(Granularity::PerChannel);
+        let int_net = convert(&net, QuantScheme::PerChannelIcn).expect("convertible");
+        let q = *int_net.input_quant();
+        assert!(q.zero_point() > 0 && q.zero_point() < 255);
+
+        // Inputs whose `x/S + Z` lands exactly on a half-code tie, then
+        // the values with no ordinary code: NaNs, infinities, signed
+        // zeros, subnormals and the extremes.
+        let mut values: Vec<f32> = (-2..=257)
+            .map(|j| (j as f32 + 0.5 - q.zero_point() as f32) * q.scale())
+            .filter(|&x| (x / q.scale() + q.zero_point() as f32).fract().abs() == 0.5)
+            .collect();
+        assert!(values.len() > 20, "only {} exact ties", values.len());
+        values.extend([
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MAX,
+            f32::MIN,
+        ]);
+        let batch = 3;
+        let data: Vec<f32> = values
+            .iter()
+            .copied()
+            .cycle()
+            .take(batch * item.volume())
+            .collect();
+        let want: Vec<u8> = data.iter().map(|&v| q.quantize(v) as u8).collect();
+        let images = Tensor::from_vec(item.with_batch(batch), data).unwrap();
+
+        let per_item = item.volume();
+        for i in 0..batch {
+            let img = Tensor::from_vec(item, images.data()[i * per_item..][..per_item].to_vec());
+            let x = int_net.quantize_input(&img.unwrap());
+            assert_eq!(x.codes(), want[i * per_item..][..per_item], "item {i}");
+        }
+        // The pooled path writes into recycled storage: a full batch, then
+        // a shorter one into the buffer the first one returned.
+        let mut arena = ActivationArena::new();
+        for (start, count) in [(0, batch), (1, 2)] {
+            let x = int_net.quantize_input_items_pooled(&images, start, count, &mut arena);
+            assert_eq!(x.shape(), item.with_batch(count));
+            assert_eq!(x.bits(), BitWidth::W8);
+            assert_eq!(x.zero_point() as i32, q.zero_point());
+            assert_eq!(
+                x.codes(),
+                want[start * per_item..(start + count) * per_item]
+            );
+            arena.recycle(x);
+        }
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!   width-scaled MobileNet (a `k`-axis formulation starves there);
 //! * **one backend per architecture** — on AVX2,
 //!   [`simd::requant::apply_gemm_rows`] register-blocks 4 im2col rows ×
-//!   16 channels, keeps the `i32` accumulators in ymm registers over the
+//!   16 channels (then tiles of 8 and 4 — a 4-channel stem runs vector
+//!   code too), keeps the `i32` accumulators in ymm registers over the
 //!   whole `k` (every weight byte loaded serves four rows) and
 //!   requantizes each tile in-register; NEON and the portable scalar
 //!   loop run the dual-row [`simd::gemv2`] with the per-row
@@ -758,12 +759,13 @@ mod tests {
     fn register_blocked_gemm_is_bit_identical_at_every_level() {
         // Row ranges of 1..=9 rows (4-row blocks plus single rows, from
         // the start and from the end of the matrix), every channel-tile
-        // shape (16- and 8-wide tiles, scalar remainders), odd and even
+        // shape (16-, 8- and 4-wide tiles alone and in sequence, scalar
+        // remainders of c_o mod 4 channels), odd and even
         // patch lengths, and both weight zero-point forms — checked
         // against the centred per-element Σ (X − Zx)(W − Zw) reference.
         const ROWS: usize = 9;
         for k in [1usize, 2, 3, 16, 27, 32, 64] {
-            for co in [1usize, 3, 7, 8, 9, 15, 16, 17, 24, 33] {
+            for co in [1usize, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 20, 24, 28, 33] {
                 let wcodes = lcg_bytes((k * 100 + co) as u64, co * k);
                 for per_channel in [false, true] {
                     let offset = if per_channel {

@@ -28,7 +28,7 @@
 //! | level | arch | blocked GEMM |
 //! |---|---|---|
 //! | [`SimdLevel::Scalar`] | any | portable dual-row [`gemv2`] channel loop (always available) |
-//! | [`SimdLevel::Avx2`] | x86_64 | register-blocked 4 rows × 16 channels ([`requant::apply_gemm_rows`]): rows widened once by `vpmovzxbw`, `vpmaddwd` into ymm accumulators held over the whole `k` (the `maddubs`-family widening multiply-add, minus its signed-saturating hazard: both operands are zero-extended to `i16`, so every pairwise product is exact), requantized in-register; bound `⌈k/2⌉·2·255² < 2³¹` |
+//! | [`SimdLevel::Avx2`] | x86_64 | register-blocked 4 rows × channel tiles of 16, 8 and 4 ([`requant::apply_gemm_rows`]; the 4-channel tile loads 8 panel bytes into the low 128-bit lane, so a scalar loop runs only the last `c_o mod 4` channels): rows widened once by `vpmovzxbw`, `vpmaddwd` into ymm accumulators held over the whole `k` (the `maddubs`-family widening multiply-add, minus its signed-saturating hazard: both operands are zero-extended to `i16`, so every pairwise product is exact), requantized in-register; bound `⌈k/2⌉·2·255² < 2³¹` |
 //! | [`SimdLevel::Neon`] | aarch64 | dual-row [`gemv2`]: `vld2` de-interleave + `vmull_u8` widening multiply |
 //!
 //! Depthwise convolution has no reduction over input channels, so it gets
@@ -442,22 +442,26 @@ mod x86 {
         total
     }
 
-    /// The register tile of the blocked GEMM: `R` rows × `8·V` channels
+    /// The register tile of the blocked GEMM: `R` rows × `V·L` channels
     /// from `ct`, every `i32` accumulator held in a ymm register across the
     /// whole `k`. Row `r`'s widened pair words start at `xs[r·kw]`
-    /// ([`widen_pairs_avx2`]); each column pair loads `V` 16-byte weight
-    /// slices of the pair-interleaved panel once, zero-extends them and
-    /// serves all `R` rows with one `vpmaddwd` each. The odd-`k` tail
-    /// loads its weights with `vpmovzxbd` as `(w, 0)` pairs.
+    /// ([`widen_pairs_avx2`]); each column pair loads `V` weight slices of
+    /// the pair-interleaved panel once, zero-extends them and serves all
+    /// `R` rows with one `vpmaddwd` each. `L` is the channels per vector:
+    /// 8 fill a ymm register (a 16-byte slice, `vpmovzxbw`), 4 fill its
+    /// low 128-bit lane (an 8-byte slice, the high lane stays zero) — the
+    /// tile of 16, 8 and 4 channels is `<R, 2, 8>`, `<R, 1, 8>` and `<R, 1,
+    /// 4>`. The odd-`k` tail loads its `L` weights with `vpmovzxbd` as
+    /// `(w, 0)` pairs.
     ///
     /// # Safety
-    /// Caller must have detected AVX2, keep `ct + 8·V ≤ co_n` and
-    /// `xs.len() ≥ R·kw` with `kw = ⌈k/2⌉`, and pass the panel layout
-    /// [`super::gemv2`] checks (`pairs.len() == (k/2)·co_n·2`,
+    /// Caller must have detected AVX2, keep `L ∈ {4, 8}`, `ct + V·L ≤
+    /// co_n` and `xs.len() ≥ R·kw` with `kw = ⌈k/2⌉`, and pass the panel
+    /// layout [`super::gemv2`] checks (`pairs.len() == (k/2)·co_n·2`,
     /// `tail.len() == co_n·(k & 1)`).
     #[inline]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_tile_avx2<const R: usize, const V: usize>(
+    pub unsafe fn dot_tile_avx2<const R: usize, const V: usize, const L: usize>(
         xs: &[i32],
         k: usize,
         pairs: &[u8],
@@ -470,12 +474,22 @@ mod x86 {
         for p in 0..kw {
             let mut w = [_mm256_setzero_si256(); V];
             for (v, wv) in w.iter_mut().enumerate() {
-                let c = ct + 8 * v;
+                let c = ct + L * v;
                 *wv = if p < k / 2 {
                     let wp = pairs.as_ptr().add((p * co_n + c) * 2) as *const __m128i;
-                    _mm256_cvtepu8_epi16(_mm_loadu_si128(wp))
+                    if L == 8 {
+                        _mm256_cvtepu8_epi16(_mm_loadu_si128(wp))
+                    } else {
+                        _mm256_zextsi128_si256(_mm_cvtepu8_epi16(_mm_loadl_epi64(wp)))
+                    }
                 } else {
-                    _mm256_cvtepu8_epi32(_mm_loadl_epi64(tail.as_ptr().add(c) as *const __m128i))
+                    let tp = tail.as_ptr().add(c);
+                    if L == 8 {
+                        _mm256_cvtepu8_epi32(_mm_loadl_epi64(tp as *const __m128i))
+                    } else {
+                        let t4 = (tp as *const i32).read_unaligned();
+                        _mm256_zextsi128_si256(_mm_cvtepu8_epi32(_mm_cvtsi32_si128(t4)))
+                    }
                 };
             }
             for (r, a) in acc.iter_mut().enumerate() {

@@ -753,7 +753,8 @@ mod x86 {
 
     /// Rows `r0..r0 + R`: each row is widened (and summed) once, then every
     /// channel tile accumulates in registers and requantizes in place —
-    /// tiles of 16 channels, one of 8, then a scalar remainder.
+    /// tiles of 16 channels, one of 8, one of 4, then a scalar loop only
+    /// for the last `c_o mod 4` channels.
     ///
     /// # Safety
     /// As [`gemm_rows_avx2`], with `r0 + R` rows in `out`.
@@ -783,14 +784,19 @@ mod x86 {
         }
         let mut ct = 0;
         while ct + 16 <= co_n {
-            let acc = dot_tile_avx2::<R, 2>(xs, k, pairs, tail, co_n, ct);
-            requant_tile_avx2(plan, panels, acc, sx, zx, ct, out);
+            let acc = dot_tile_avx2::<R, 2, 8>(xs, k, pairs, tail, co_n, ct);
+            requant_tile_avx2::<R, 2, 8>(plan, panels, acc, sx, zx, ct, out);
             ct += 16;
         }
         if ct + 8 <= co_n {
-            let acc = dot_tile_avx2::<R, 1>(xs, k, pairs, tail, co_n, ct);
-            requant_tile_avx2(plan, panels, acc, sx, zx, ct, out);
+            let acc = dot_tile_avx2::<R, 1, 8>(xs, k, pairs, tail, co_n, ct);
+            requant_tile_avx2::<R, 1, 8>(plan, panels, acc, sx, zx, ct, out);
             ct += 8;
+        }
+        if ct + 4 <= co_n {
+            let acc = dot_tile_avx2::<R, 1, 4>(xs, k, pairs, tail, co_n, ct);
+            requant_tile_avx2::<R, 1, 4>(plan, panels, acc, sx, zx, ct, out);
+            ct += 4;
         }
         let (zw, wbase) = (panels.zw(), panels.base());
         for (i, o) in out.chunks_exact_mut(co_n).enumerate() {
@@ -807,15 +813,19 @@ mod x86 {
         }
     }
 
-    /// Requantizes one register tile — `R` rows × `8·V` channels from `ct`
-    /// — into `out` (the block's `R` rows of `c_o` codes): `Φ = acc −
-    /// Zw·ΣX − Zx·(ΣW − k·Zw)`, the last term shared by every row.
+    /// Requantizes one register tile — `R` rows × `V·L` channels from `ct`,
+    /// laid out as [`dot_tile_avx2`] returns it — into `out` (the block's
+    /// `R` rows of `c_o` codes): `Φ = acc − Zw·ΣX − Zx·(ΣW − k·Zw)`, the
+    /// last term shared by every row. Each 4-channel group is one 128-bit
+    /// lane of an accumulator: an 8-channel vector holds two, a 4-channel
+    /// one holds one in its low lane.
     ///
     /// # Safety
-    /// As [`gemm_rows_avx2`], with `ct + 8·V ≤ c_o` and `out.len() == R·c_o`.
+    /// As [`gemm_rows_avx2`], with `L ∈ {4, 8}`, `ct + V·L ≤ c_o` and
+    /// `out.len() == R·c_o`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn requant_tile_avx2<const R: usize, const V: usize>(
+    unsafe fn requant_tile_avx2<const R: usize, const V: usize, const L: usize>(
         plan: &RequantPlan,
         panels: &PackedPanels,
         acc: [[__m256i; V]; R],
@@ -827,8 +837,8 @@ mod x86 {
         let co = plan.channels();
         let zxv = _mm256_set1_epi64x(zx);
         for v in 0..V {
-            for h in 0..2 {
-                let c = ct + 8 * v + 4 * h;
+            for h in 0..L / 4 {
+                let c = ct + L * v + 4 * h;
                 let zwv = load_i64x4(panels.zw().as_ptr().add(c));
                 let mut phi = [_mm256_setzero_si256(); R];
                 for (p, (a, &s)) in phi.iter_mut().zip(acc.iter().zip(&sx)) {

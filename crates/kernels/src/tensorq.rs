@@ -101,6 +101,22 @@ impl QActivation {
         }
     }
 
+    /// Takes a buffer of `W8` codes as the activation's storage, without
+    /// a copy — how the network input, quantized straight into a
+    /// recycled buffer, enters the graph.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `codes.len() != shape.volume()`.
+    pub fn from_w8_codes(shape: Shape, codes: Vec<u8>, zero_point: u8) -> Self {
+        assert_eq!(codes.len(), shape.volume(), "code count vs shape");
+        QActivation {
+            shape,
+            packed: PackedTensor::from_w8_codes(codes),
+            zero_point,
+        }
+    }
+
     /// Consumes the activation, returning its packed byte buffer for
     /// recycling through a buffer pool.
     pub fn into_storage(self) -> Vec<u8> {

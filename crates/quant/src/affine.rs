@@ -166,6 +166,32 @@ impl QuantParams {
         (q.max(0.0) as u32).min(self.bits.qmax())
     }
 
+    /// [`QuantParams::quantize`] over a slice: `dst[i]` is the code of
+    /// `src[i]`, bit for bit. The loop is branch-free so it vectorizes:
+    /// `t` is clamped to `[0, qmax]` first (`f32::max` maps NaN to 0, as
+    /// `quantize` does), then rounded by truncating `t + h` with `h = 0`
+    /// for [`RoundingMode::Floor`] and `h` the largest `f32` below ½ for
+    /// [`RoundingMode::Nearest`]. On a clamped `t ≥ 0` truncation is
+    /// floor, and `t + h` reaches the next integer exactly when `t`'s
+    /// fraction is ½ or more (the sum rounds to it at the tie); clamping
+    /// first equals rounding first because the bounds are integers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` and `dst` differ in length.
+    pub fn quantize_into(&self, src: &[f32], dst: &mut [u8]) {
+        assert_eq!(src.len(), dst.len(), "source/destination length mismatch");
+        let (scale, zp) = (self.scale, self.zero_point as f32);
+        let qmax = self.bits.qmax() as f32;
+        let h = match self.rounding {
+            RoundingMode::Nearest => 0.499_999_97_f32,
+            RoundingMode::Floor => 0.0,
+        };
+        for (d, &v) in dst.iter_mut().zip(src) {
+            *d = ((v / scale + zp).max(0.0).min(qmax) + h) as u8;
+        }
+    }
+
     /// Maps an integer code back to its real value (Eq. 2).
     pub fn dequantize(&self, code: u32) -> f32 {
         self.scale * (code as i32 - self.zero_point) as f32
@@ -182,10 +208,12 @@ impl QuantParams {
         t.map(|v| self.fake_quantize(v))
     }
 
-    /// Applies [`QuantParams::quantize`] to a whole tensor, producing codes.
+    /// Applies [`QuantParams::quantize`] to a whole tensor, producing codes
+    /// (through [`QuantParams::quantize_into`]).
     pub fn quantize_tensor(&self, t: &Tensor<f32>) -> Tensor<u8> {
-        debug_assert!(self.bits.qmax() <= u8::MAX as u32);
-        t.map(|v| self.quantize(v) as u8)
+        let mut out = Tensor::<u8>::zeros(t.shape());
+        self.quantize_into(t.data(), out.data_mut());
+        out
     }
 }
 
@@ -335,13 +363,8 @@ impl ChannelParams {
         let vol = w.shape().item_volume();
         let mut out = Tensor::<u8>::zeros(w.shape());
         for c in 0..co {
-            let q = &self.params[c];
-            for (dst, src) in out.data_mut()[c * vol..(c + 1) * vol]
-                .iter_mut()
-                .zip(&w.data()[c * vol..(c + 1) * vol])
-            {
-                *dst = q.quantize(*src) as u8;
-            }
+            let range = c * vol..(c + 1) * vol;
+            self.params[c].quantize_into(&w.data()[range.clone()], &mut out.data_mut()[range]);
         }
         out
     }
@@ -414,6 +437,134 @@ mod tests {
         let q = QuantParams::from_min_max(-1.0, 1.0, BitWidth::W2);
         assert_eq!(q.quantize(-100.0), 0);
         assert_eq!(q.quantize(100.0), 3);
+    }
+
+    /// `x` moved `n` representable values along the real line (across ±0).
+    fn ulp_step(x: f32, n: i64) -> f32 {
+        let b = x.to_bits();
+        let ord = if b >> 31 == 1 {
+            -((b & 0x7fff_ffff) as i64)
+        } else {
+            b as i64
+        };
+        match ord + n {
+            o if o < 0 => f32::from_bits((-o) as u32 | 0x8000_0000),
+            o => f32::from_bits(o as u32),
+        }
+    }
+
+    /// `quantize_into` must equal `quantize` bit for bit.
+    fn assert_slice_matches(q: &QuantParams, src: &[f32]) {
+        let mut got = vec![0u8; src.len()];
+        q.quantize_into(src, &mut got);
+        for (&v, &g) in src.iter().zip(&got) {
+            assert_eq!(
+                g,
+                q.quantize(v) as u8,
+                "{q} at {v:e} ({:#010x})",
+                v.to_bits()
+            );
+        }
+    }
+
+    /// The quantizers [`QuantParams::quantize_into`] is checked on: W8 and
+    /// W4 at zero-points {0, 17, 127, 255} in both rounding modes, the
+    /// min/max and unit-scale (exact-tie) forms, and PACT floor clips.
+    fn slice_quantizers() -> Vec<QuantParams> {
+        let mut qs = vec![
+            QuantParams::from_min_max(-1.0, 1.0, BitWidth::W8),
+            QuantParams::from_min_max(-0.37, 2.91, BitWidth::W8),
+            QuantParams::from_parts(1.0, 0, BitWidth::W8, RoundingMode::Nearest),
+            QuantParams::from_pact_clip(6.0, BitWidth::W8),
+            QuantParams::from_pact_clip(6.0, BitWidth::W4),
+            QuantParams::from_pact_clip(0.37, BitWidth::W2),
+        ];
+        for bits in [BitWidth::W8, BitWidth::W4] {
+            for zp in [0, 17, 127, 255] {
+                for rounding in [RoundingMode::Nearest, RoundingMode::Floor] {
+                    qs.push(QuantParams::from_parts(0.0123, zp, bits, rounding));
+                }
+            }
+        }
+        qs
+    }
+
+    /// `quantize_into` against `quantize` at ±64 ulps around every rounding
+    /// boundary (`t = j + ½` for Nearest, `t = j` for Floor, `j ∈ [−2,
+    /// qmax + 2]`) and at the special values.
+    ///
+    /// This is the only test that guards the network's input quantizer:
+    /// perfbench's reference walk quantizes through the same
+    /// `IntNetwork::quantize_input_items_pooled`, so its `correct` flag
+    /// cannot catch a wrong input code. The `#[ignore]`d
+    /// `quantize_into_matches_quantize_on_every_f32` sweeps all 2³² inputs.
+    #[test]
+    fn quantize_into_matches_quantize_near_every_boundary() {
+        let specials = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::from_bits(0xffc0_0000), // negative quiet NaN
+            f32::from_bits(0x7f80_0001), // signalling NaNs
+            f32::from_bits(0xff80_0001),
+            f32::from_bits(0x7fbf_ffff),
+            f32::from_bits(1), // subnormals
+            f32::from_bits(0x8000_0001),
+            f32::from_bits(0x007f_ffff),
+            f32::from_bits(0x807f_ffff),
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+        ];
+        for q in slice_quantizers() {
+            assert_slice_matches(&q, &specials);
+            let half = match q.rounding() {
+                RoundingMode::Nearest => 0.5,
+                RoundingMode::Floor => 0.0,
+            };
+            let qmax = q.bits().qmax() as i32;
+            for j in -2..=qmax + 2 {
+                let tb = j as f32 + half;
+                let xb = (tb - q.zero_point() as f32) * q.scale();
+                let sweep: Vec<f32> = (-64..=64).map(|n| ulp_step(xb, n)).collect();
+                assert_slice_matches(&q, &sweep);
+                // The window must bracket the boundary, or it tests nothing.
+                let t = |x: f32| x / q.scale() + q.zero_point() as f32;
+                assert!(
+                    t(sweep[0]) <= tb && tb <= t(sweep[128]),
+                    "{q}: window misses t = {tb}"
+                );
+            }
+        }
+    }
+
+    /// Every `f32` bit pattern through `quantize_into` against `quantize`,
+    /// for one W8 Nearest and one PACT Floor quantizer — about a minute
+    /// each in release. CI runs it in its release test step.
+    #[test]
+    #[ignore = "sweeps all 2^32 inputs per quantizer; run in release"]
+    fn quantize_into_matches_quantize_on_every_f32() {
+        let mut src = vec![0f32; 1 << 16];
+        let mut got = vec![0u8; 1 << 16];
+        for q in [
+            QuantParams::from_min_max(-0.37, 2.91, BitWidth::W8),
+            QuantParams::from_pact_clip(6.0, BitWidth::W8),
+        ] {
+            for hi in 0..1u32 << 16 {
+                for (lo, v) in src.iter_mut().enumerate() {
+                    *v = f32::from_bits(hi << 16 | lo as u32);
+                }
+                q.quantize_into(&src, &mut got);
+                for (&v, &g) in src.iter().zip(&got) {
+                    if g != q.quantize(v) as u8 {
+                        panic!("{q} at {:#010x}: {g} != {}", v.to_bits(), q.quantize(v));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

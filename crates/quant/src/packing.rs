@@ -73,6 +73,16 @@ impl PackedTensor {
         }
     }
 
+    /// Wraps a buffer of `W8` codes without copying: at 8 bits, one code
+    /// per byte already is the packed layout.
+    pub fn from_w8_codes(codes: Vec<u8>) -> Self {
+        PackedTensor {
+            len: codes.len(),
+            bytes: codes,
+            bits: BitWidth::W8,
+        }
+    }
+
     /// Consumes the tensor, returning the packed byte buffer (for recycling
     /// through a buffer pool).
     pub fn into_bytes(self) -> Vec<u8> {
